@@ -422,7 +422,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         lanes=max(1, args.lanes),
         cache_dir=args.cache_dir,
         group_max=max(1, args.group_max),
-        batch_window=max(0.0, args.batch_window) / 1000.0,
         max_queue_depth=max(0, args.max_queue_depth),
         default_deadline_ms=args.default_deadline_ms,
         hang_seconds=max(0.0, args.hang_seconds),
@@ -727,8 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistent proof-cache directory")
     serve.add_argument("--group-max", type=int, default=16,
                        help="max in-flight requests drained per engine group")
-    serve.add_argument("--batch-window", type=float, default=0.0, metavar="MS",
-                       help="theory-goal merge window in milliseconds")
     serve.add_argument("--max-queue-depth", type=int, default=64,
                        help="bounded request queue; requests past the "
                             "cap are shed immediately with a retryable "

@@ -5,8 +5,8 @@ The in-process campaign (:mod:`repro.fuzz.runner`) fuzzes the checker
 program (and optionally its ill-typed mutants) is submitted to a
 running ``repro serve`` daemon over the wire and the daemon's verdict
 is compared against a local reference checker — a divergence means the
-serving path (session store, group dedup, epoch guard, goal batcher)
-changed an answer, which the daemon's core invariant says can never
+serving path (session store, lane routing, group draining, epoch
+guard) changed an answer, which the daemon's core invariant says can never
 happen.
 
 The daemon is either spawned as a subprocess for the campaign's

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter_ns
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..budget import Budget, activate as activate_budget
 from ..theories.registry import RegistrySession, TheoryRegistry, default_registry
@@ -75,7 +75,7 @@ from .kernel.dispatch import TheoryDispatch
 from .kernel.prover import ProofKernel
 from .kernel.saturate import Saturator
 
-__all__ = ["EngineStats", "Logic", "SessionLease", "StageTimers"]
+__all__ = ["EngineStats", "Logic", "StageTimers"]
 
 
 class EngineStats:
@@ -292,8 +292,8 @@ class Logic:
         #: stage's termination backstop (replaces the old recursion depth).
         self.max_steps = max_steps
         self.stats = EngineStats()
-        #: bumped by every :meth:`reset_caches`; leases and long-lived
-        #: callers compare it to detect that their derived state is stale.
+        #: bumped by every :meth:`reset_caches`; long-lived callers
+        #: compare it to detect that their derived state is stale.
         self.epoch = 0
         #: bound on each memo table; exceeding it clears the table (the
         #: simplest policy that can never serve a stale entry).
@@ -598,21 +598,6 @@ class Logic:
         self._sessions[key] = session
         return session
 
-    def lease_session(self, env: Optional[Env] = None) -> "SessionLease":
-        """Lease an epoch-guarded, caller-private theory session.
-
-        Long-lived callers (server connections, watch loops) need
-        theory state that survives across many queries, can layer
-        speculative caller-private assumptions over the shared engine,
-        and is never replayed across :meth:`reset_caches`.  The lease's
-        session is a *derived clone* of the engine's session for
-        ``env`` (default: the empty environment), so nothing asserted
-        through the lease ever reaches the engine's shared session map
-        — the isolation layer between concurrent clients of one warm
-        engine.
-        """
-        return SessionLease(self, env if env is not None else Env())
-
     def theory_assumptions(self, env: Env) -> List[Prop]:
         if env._theory_cache is not None:
             return env._theory_cache
@@ -677,80 +662,3 @@ def _theory_atoms(prop: Prop) -> Iterator[TheoryProp]:
         for conjunct in prop.conjuncts:
             yield from _theory_atoms(conjunct)
 
-
-class SessionLease:
-    """An epoch-guarded handle on a caller-private theory session.
-
-    The shared engine's session map (:meth:`Logic.theory_session`) is
-    content-addressed and therefore safe to share, but it offers no
-    place for *caller-scoped* assumptions: anything asserted on a
-    shared session would be visible to every other client of the
-    engine.  A lease solves both halves of the long-lived-service
-    problem:
-
-    * **Isolation** — :meth:`session` is a private
-      :meth:`~repro.theories.registry.RegistrySession.derive`\\ d clone;
-      :meth:`scoped` brackets caller assumptions between ``push`` and
-      ``pop`` on that clone, so per-connection facts never enter shared
-      state and never outlive the bracket.
-    * **Epoch guard** — the lease records ``Logic.epoch`` when its
-      session is built.  Any :meth:`Logic.reset_caches` (which also
-      invalidates live sessions) bumps the epoch; the next use of a
-      stale lease transparently rebuilds from scratch instead of
-      replaying invalidated solver state.
-    """
-
-    __slots__ = ("_logic", "_env", "_epoch", "_session")
-
-    def __init__(self, logic: Logic, env: Env) -> None:
-        self._logic = logic
-        self._env = env
-        self._epoch = -1
-        self._session: Optional[RegistrySession] = None
-
-    @property
-    def valid(self) -> bool:
-        """Does the leased session still reflect the engine's state?"""
-        return (
-            self._session is not None
-            and self._epoch == self._logic.epoch
-            and not self._session.stale
-        )
-
-    def invalidate(self) -> None:
-        """Drop the leased session; the next use rebuilds it."""
-        self._session = None
-
-    def session(self) -> RegistrySession:
-        """The private session, rebuilt if the engine epoch moved."""
-        if not self.valid:
-            self._epoch = self._logic.epoch
-            self._session = self._logic.theory_session(self._env).derive(())
-        return self._session
-
-    def entails(self, goal: TheoryProp) -> bool:
-        """Decide a goal against the leased session's assumptions."""
-        return self.session().entails(goal)
-
-    def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
-        return self.session().entails_batch(goals)
-
-    @contextmanager
-    def scoped(self, assumptions: Sequence[Prop] = ()):
-        """Layer caller-private assumptions for the extent of a block.
-
-        The assumptions are asserted inside a fresh ``push`` frame on
-        the leased session and popped on exit — even on an escaping
-        error — so a request's speculative facts cannot leak into the
-        next request, let alone into another connection's lease.
-        """
-        session = self.session()
-        session.push()
-        try:
-            session.assert_all(assumptions)
-            yield session
-        finally:
-            # the pop only applies to the session the frame was pushed
-            # on; a mid-block reset invalidated that session wholesale.
-            if self._session is session:
-                session.pop()

@@ -22,6 +22,7 @@ from .checker.errors import CheckError
 from .interp.eval import run_program
 from .interp.values import RacketError, value_repr
 from .logic.env import Env
+from .logic.prove import Logic
 from .sexp.reader import ReaderError, read_all
 from .syntax.parser import ParseError, parse_program
 from .syntax.ast import Program
@@ -33,10 +34,15 @@ __all__ = ["Session", "repl"]
 
 
 class Session:
-    """Accumulates definitions; checks and runs each new input."""
+    """Accumulates definitions; checks and runs each new input.
 
-    def __init__(self) -> None:
+    ``logic`` is the engine every check runs on; ``None`` means the
+    process-wide :func:`repro.checker.check.shared_logic`.
+    """
+
+    def __init__(self, logic: Optional[Logic] = None) -> None:
         self._forms: List[str] = []
+        self._logic = logic
 
     # ------------------------------------------------------------------
     def _program_with(self, text: str) -> Program:
@@ -49,7 +55,7 @@ class Session:
         modifying the session.
         """
         program = self._program_with(text)
-        Checker().check_program(program)
+        Checker(logic=self._logic).check_program(program)
         _defs, results = run_program(program)
         # Committed: remember the input for future scope.
         self._forms.append(text)
@@ -66,7 +72,7 @@ class Session:
     def type_of(self, text: str) -> str:
         """The type-result of an expression in the session scope."""
         program = self._program_with(text)
-        checker = Checker()
+        checker = Checker(logic=self._logic)
         if not program.body:
             # a definition: check it and report the declared/computed type
             types = checker.check_program(program)

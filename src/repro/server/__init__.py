@@ -8,13 +8,12 @@ engine (PR 1), ``entails_batch`` dispatch and the persistent proof
 cache (PR 3) were built for:
 
 * :class:`~repro.server.daemon.CheckingServer` — a daemon (CLI:
-  ``repro serve``) that keeps **one** warm process-shared
-  :class:`~repro.logic.prove.Logic` resident across requests, gives
-  each connection an isolated session (module store + REPL scope +
-  epoch-guarded :class:`~repro.logic.prove.SessionLease`), coalesces
-  in-flight work through a :class:`~repro.server.batcher.GoalBatcher`,
-  and fans heavy multi-file checks out to a resident
-  :class:`~repro.batch.pipeline.WorkerPool`.
+  ``repro serve``) that keeps ``--lanes N`` warm
+  :class:`~repro.logic.prove.Logic` engines resident across requests
+  (lane 0 the process-shared engine, the others replicas of it), gives
+  each connection an isolated, epoch-guarded session (module store +
+  REPL scope) pinned to one lane, and fans heavy multi-file checks out
+  to a resident :class:`~repro.batch.pipeline.WorkerPool`.
 * :class:`~repro.server.client.Client` — a small blocking client
   (CLI: ``repro client``) speaking the newline-delimited JSON protocol
   of :mod:`repro.server.protocol` (see ``docs/SERVER.md`` for the wire

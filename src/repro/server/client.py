@@ -1,7 +1,7 @@
 """A small blocking client for the checking daemon.
 
-One connection, one session: the daemon scopes module stores, REPL
-scope and the theory lease to the connection, so a :class:`Client`
+One connection, one session: the daemon scopes the module store and
+the REPL scope to the connection, so a :class:`Client`
 *is* a session.  Requests are answered in order; every engine-touching
 response carries the per-request ``stats`` delta.
 

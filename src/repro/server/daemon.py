@@ -26,12 +26,13 @@ we wish we had:
   — and keeps it for the connection's lifetime, so session-scoped
   incremental re-checking keeps hitting the same warm module store and
   engine caches.
-* **Group draining** (per lane) and **theory-goal coalescing** (a
-  :class:`~repro.server.batcher.GoalBatcher` per lane) work exactly as
-  in the single-lane daemon: identical in-flight ``check_text``
-  sources are checked once per group and multi-file ``check`` jobs
-  merge into one :class:`~repro.batch.pipeline.WorkerPool` dispatch.
-  The fork pool is shared by all lanes and serialized by a lock.
+* **Group draining** (per lane): a lane drains up to ``group_max``
+  queued jobs at once, and the group's multi-file ``check`` jobs merge
+  into one :class:`~repro.batch.pipeline.WorkerPool` dispatch; every
+  other job runs on the lane's engine through the same
+  :class:`~repro.logic.kernel.dispatch.TheoryDispatch` one-shot
+  ``repro check`` uses.  The fork pool is shared by all lanes and
+  serialized by a lock.
 
 Epoch coordination — how replicas converge after ``reset``:
 
@@ -86,7 +87,6 @@ from ..batch.pipeline import WorkerPool, check_many, logic_config_key
 from ..budget import Budget, CancelledError
 from ..checker.check import Checker
 from ..logic.prove import EngineStats, Logic
-from .batcher import BatchingTheoryDispatch, GoalBatcher
 from .protocol import (
     DEADLINE_OPS,
     PROTOCOL_VERSION,
@@ -118,8 +118,6 @@ class ServerConfig:
     cache_dir: Optional[str] = None
     #: max in-flight jobs drained into one engine group
     group_max: int = 16
-    #: GoalBatcher merge window in seconds (0 = flush immediately)
-    batch_window: float = 0.0
     #: bounded per-lane job queue; a full lane sheds load with a
     #: retryable ``overloaded`` error instead of queueing unboundedly
     #: (0 = unbounded)
@@ -201,11 +199,6 @@ class _Lane:
         self.index = index
         self.logic = logic
         config = server.config
-        self.batcher = GoalBatcher(window=config.batch_window)
-        #: restored by server.stop() — lane 0's engine may outlive the
-        #: server (it is the process-wide shared one by default).
-        self._original_dispatch = logic.dispatch
-        logic.dispatch = BatchingTheoryDispatch(logic, self.batcher)
         #: per-lane handle over the *shared* cache directory; flushes
         #: are atomic per shard with re-read-before-write, so
         #: concurrent lane flushes lose nothing but the race
@@ -360,14 +353,12 @@ class _Lane:
                 live.append(job)
             if live:
                 self._run_pooled_checks(live)
-        #: group-level memo — identical in-flight sources check once
-        text_memo: Dict[str, Tuple[bool, str, Dict[str, str]]] = {}
         for job in group:
             if job in pooled:
                 continue
             self._begin_job(job)
             try:
-                self._execute(job, text_memo)
+                self._execute(job)
             except CancelledError as exc:
                 # belt-and-braces: _execute turns cancellations into
                 # responses itself; a late tick (e.g. inside the stats
@@ -425,7 +416,7 @@ class _Lane:
             job.response.setdefault("lane", self.index)
             job.done.set()
 
-    def _execute(self, job: _Job, text_memo) -> None:
+    def _execute(self, job: _Job) -> None:
         request = job.request
         op = request["op"]
         session = job.session
@@ -440,7 +431,7 @@ class _Lane:
         baseline = self.logic.stats.copy()
         try:
             with self.logic.budgeted(budget):
-                result = self._execute_op(op, request, session, text_memo)
+                result = self._execute_op(op, request, session)
         except CancelledError as exc:
             # mid-proof abort: the budget raise unwound through
             # exception-safe paths only (push/pop brackets, cache
@@ -455,22 +446,12 @@ class _Lane:
         job.response = self.server._respond(request, **result)
 
     def _execute_op(
-        self, op: str, request: Dict[str, Any], session: ServerSession, text_memo
+        self, op: str, request: Dict[str, Any], session: ServerSession
     ) -> Dict[str, Any]:
         if op == "check":
             return self._check_paths(request["paths"])
         if op == "check_text":
-            memo_key = request["text"]
-            precomputed = text_memo.get(memo_key)
-            result = session.check_text(
-                request["name"], request["text"], precomputed
-            )
-            if precomputed is not None:
-                result["deduplicated"] = True
-            elif not result["cached"]:
-                state = session._modules[request["name"]]
-                text_memo[memo_key] = (state.ok, state.error, state.types)
-            return result
+            return session.check_text(request["name"], request["text"])
         if op == "eval":
             return session.eval(request["expr"])
         if op == "stats":
@@ -579,10 +560,6 @@ class CheckingServer:
     @property
     def logic(self) -> Logic:
         return self._lanes[0].logic
-
-    @property
-    def batcher(self) -> GoalBatcher:
-        return self._lanes[0].batcher
 
     @property
     def lanes(self) -> List[_Lane]:
@@ -706,7 +683,6 @@ class CheckingServer:
             with self._pool_lock:
                 self.pool.close()
         for lane in self._lanes:
-            lane.logic.dispatch = lane._original_dispatch
             if lane.persist is not None:
                 lane.logic.detach_persistent_cache()
                 lane.persist.flush()
@@ -761,8 +737,7 @@ class CheckingServer:
 
         The engine's memo tables only ever hold complete entries
         (verdicts are cached after the kernel returns), so the warm
-        caches are safe to keep; the dispatch plumbing is rebuilt in
-        case the old lane died holding the goal batcher's lock.
+        caches are safe to keep.
         """
         lane.count("lane_restarts")
         job = lane.current_job
@@ -776,8 +751,6 @@ class CheckingServer:
             )
             job.done.set()
         lane.failure = None
-        lane.batcher = GoalBatcher(window=self.config.batch_window)
-        lane.logic.dispatch = BatchingTheoryDispatch(lane.logic, lane.batcher)
         lane.spawn()
 
     # ------------------------------------------------------------------
@@ -1024,11 +997,10 @@ class CheckingServer:
                 peer.logic.stats if peer is lane
                 else _snapshot_stats(peer.logic.stats)
             )
-        batcher_totals = {"submissions": 0, "dispatches": 0, "merged": 0}
-        for peer in self._lanes:
-            batcher_totals["submissions"] += peer.batcher.submissions
-            batcher_totals["dispatches"] += peer.batcher.dispatches
-            batcher_totals["merged"] += peer.batcher.merged
+        hits = engine.rule_hits
+        # every theory crossing is its own session dispatch; nothing
+        # merges them, so this row reads the engine's dispatch counters
+        dispatches = hits.get("dispatch.batch", 0) + hits.get("dispatch.single", 0)
         return {
             "ok": True,
             "protocol": PROTOCOL_VERSION,
@@ -1040,7 +1012,11 @@ class CheckingServer:
                 "groups_total": self.groups_total,
                 "sessions": sessions,
                 "pool": pool_info,
-                "goal_batcher": batcher_totals,
+                "goal_batcher": {
+                    "submissions": dispatches,
+                    "dispatches": dispatches,
+                    "merged": 0,
+                },
                 "queue": {
                     "depth": sum(l.queue.qsize() for l in self._lanes),
                     "max_depth": self.config.max_queue_depth,

@@ -1,4 +1,4 @@
-"""Per-connection sessions: isolated state over one shared engine.
+"""Per-connection sessions: isolated state over a lane's shared engine.
 
 Everything a connection accumulates lives here, and *only* here:
 
@@ -8,35 +8,30 @@ Everything a connection accumulates lives here, and *only* here:
   session-scoped incremental re-checking the daemon exists for);
 * a **REPL scope** for ``eval`` — definitions accumulate exactly like
   an interactive :class:`repro.repl.Session`, so a connection can build
-  up context across requests;
-* a :class:`~repro.logic.prove.SessionLease` — the connection's
-  epoch-guarded private theory handle.  Session-scoped assumptions
-  layered through it (``lease.scoped(...)`` push/pop frames on a
-  *derived clone*) are structurally unable to reach another connection
-  or the engine's shared session map.  The serving path deliberately
-  never injects session facts into checking — that is what keeps a
-  daemon verdict bit-identical to one-shot ``repro check`` — so the
-  lease's serving-path job is the epoch guard; the assumption-layering
-  API is there for embedders and is pinned by
-  ``tests/test_session_lease.py``.
+  up context across requests.
 
-The shared engine itself needs no per-session partitioning: its caches
-are content-addressed (exact environment fingerprints + goals), so two
-sessions checking different programs can never observe each other's
-facts through it.  Everything else a connection accumulates lives in
-this object and dies with the connection.
+The serving path never injects session facts into checking — that is
+what keeps a daemon verdict bit-identical to one-shot ``repro check``.
+
+A session is pinned to one engine lane and shares that lane's engine
+with every other session routed there.  The engine needs no
+per-session partitioning: its caches are content-addressed (exact
+environment fingerprints + goals), so two sessions checking different
+programs can never observe each other's facts through it.  Everything
+else a connection accumulates lives in this object and dies with the
+connection.
 
 Epoch guard: every session remembers the engine epoch it last checked
 under.  A ``reset`` (from *any* connection) bumps the epoch; stale
-sessions then drop their cached module verdicts and rebuild their
-lease before serving again, so a reset really does produce a cold
-re-check rather than a replay from session-level state.
+sessions then drop their cached module verdicts before serving again,
+so a reset really does produce a cold re-check rather than a replay
+from session-level state.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..checker.check import Checker
 from ..checker.errors import CheckError
@@ -75,9 +70,8 @@ class ServerSession:
         #: the engine lane this session is pinned to (sticky routing)
         self.lane_index = lane_index
         self._epoch = logic.epoch
-        self._lease = logic.lease_session()
         self._modules: Dict[str, _ModuleState] = {}
-        self._scope = ReplSession()
+        self._scope = ReplSession(logic=logic)
         #: counters surfaced by the ``stats`` op
         self.requests = 0
         self.cached_rechecks = 0
@@ -91,28 +85,18 @@ class ServerSession:
             return False
         self._epoch = self._logic.epoch
         self._modules.clear()
-        self._lease.invalidate()
         return True
 
     # ------------------------------------------------------------------
     # requests (engine-thread only; sessions are not thread-safe)
     # ------------------------------------------------------------------
-    def check_text(
-        self,
-        name: str,
-        text: str,
-        precomputed: Optional[tuple] = None,
-    ) -> Dict[str, Any]:
+    def check_text(self, name: str, text: str) -> Dict[str, Any]:
         """Check a named module, incrementally per session.
 
         An unchanged module (same content digest, same engine epoch)
         answers from the session's module store without touching the
         engine at all; an edited module re-checks on the warm engine
-        and the store is updated.  ``precomputed`` is the daemon's
-        group-level dedup: a ``(ok, error, types)`` verdict another
-        in-flight request just computed for byte-identical source —
-        sound to adopt because verdicts are a function of source text
-        alone (the engine caches are content-addressed).
+        and the store is updated.
         """
         self.requests += 1
         self.guard_epoch()
@@ -121,11 +105,8 @@ class ServerSession:
         if state is not None and state.digest == digest:
             self.cached_rechecks += 1
             return self._module_response(name, state, cached=True)
-        if precomputed is not None:
-            ok, error, types = precomputed
-        else:
-            ok, error, types = self._check_source(text)
-        state = _ModuleState(digest, ok, error, dict(types))
+        ok, error, types = self._check_source(text)
+        state = _ModuleState(digest, ok, error, types)
         self._modules[name] = state
         return self._module_response(name, state, cached=False)
 
@@ -152,7 +133,6 @@ class ServerSession:
             "modules": len(self._modules),
             "cached_rechecks": self.cached_rechecks,
             "scope_names": self._scope.names(),
-            "lease_valid": self._lease.valid,
         }
 
     # ------------------------------------------------------------------

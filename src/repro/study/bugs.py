@@ -269,8 +269,8 @@ BUG_CATALOG: Tuple[BugRecord, ...] = (
             "No defect found.  The single engine lane serializes reset "
             "against every in-flight request, and the epoch guard "
             "(Logic.epoch bump + per-session guard_epoch) forces stale "
-            "sessions to drop module stores and rebuild leases before "
-            "serving again.  The stress test interleaves resets from a "
+            "sessions to drop their module stores before serving "
+            "again.  The stress test interleaves resets from a "
             "second connection with a farm-style check stream and "
             "verdicts stay bit-identical to a reset-free run."
         ),

@@ -133,7 +133,6 @@ class RegistrySession:
         "_memo",
         "counters",
         "solver_counters",
-        "stale",
     )
 
     def __init__(
@@ -150,10 +149,6 @@ class RegistrySession:
         if solver_counters is not None:
             for context in self._contexts:
                 context.bind_counters(solver_counters)
-        #: set by :meth:`invalidate` (an engine reset): answers stay
-        #: sound, but epoch-guarded holders (``Logic.lease_session``)
-        #: rebuild rather than carry pre-reset solver state forward.
-        self.stale = False
 
     # ------------------------------------------------------------------
     def assert_prop(self, prop: Prop) -> None:
@@ -240,12 +235,9 @@ class RegistrySession:
 
         Used by ``Logic.reset_caches``: sessions already handed out
         must never replay a pre-reset answer.  The translated solver
-        state stays (it is derived from assumptions, not from queries),
-        but the session is marked :attr:`stale` so lease holders know
-        to rebuild instead of deriving from it.
+        state stays (it is derived from assumptions, not from queries).
         """
         self._memo = {}
-        self.stale = True
 
     def linear_unsat(self) -> bool:
         """Is the linear fragment of the asserted assumptions absurd?
@@ -268,7 +260,6 @@ class RegistrySession:
         # Context clones carry their counter binding; keep the handle so
         # further derivations stay attached to the same shared dict.
         dup.solver_counters = self.solver_counters
-        dup.stale = self.stale  # a clone of invalidated state is itself stale
         for prop in delta:
             for theory, context in zip(dup._theories, dup._contexts):
                 if isinstance(prop, TheoryProp) and theory.accepts(prop):

@@ -80,6 +80,13 @@ class TestResetTransparency:
         goal = lin_le(Var("x"), obj_int(9))
         assert first.entails(goal) == second.entails(goal) == third.entails(goal)
 
+    def test_epoch_counts_resets(self):
+        logic = Logic()
+        assert logic.epoch == 0
+        logic.reset_caches()
+        logic.reset_caches()
+        assert logic.epoch == 2
+
     def test_reset_flushes_and_drops_persistent_handle(self, tmp_path):
         logic = Logic()
         cache = ProofCache(str(tmp_path), logic_config_key(logic))

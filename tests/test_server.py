@@ -149,6 +149,65 @@ class TestSessions:
             assert not bob.check_text("m", GOOD)["cached"]
             assert alice.check_text("m", GOOD)["cached"]
 
+    def test_each_lane_engine_is_entered_only_by_its_own_lane(
+        self, tmp_path, monkeypatch
+    ):
+        # lane 0 is the process-wide engine, as under ``repro serve``, so
+        # an ``eval`` checked on the default engine would enter it from
+        # lane 1's thread while lane 0 is checking
+        daemon = CheckingServer(
+            ServerConfig(socket_path=str(tmp_path / "own.sock"), lanes=2)
+        )
+        entered = {lane.index: set() for lane in daemon.lanes}
+        for lane in daemon.lanes:
+            def spy(env, goal, _index=lane.index, _proves=lane.logic.proves):
+                entered[_index].add(threading.current_thread().name)
+                return _proves(env, goal)
+
+            monkeypatch.setattr(lane.logic, "proves", spy)
+        keys = {}
+        attempt = 0
+        while len(keys) < 2:
+            key = f"own-lane-{attempt}"
+            keys.setdefault(CheckingServer.lane_index_for(key, 2), key)
+            attempt += 1
+        failures = []
+        daemon.start()
+        try:
+            def on_lane(index, work):
+                try:
+                    with Client(
+                        socket_path=daemon.config.socket_path,
+                        affinity=keys[index],
+                    ) as connected:
+                        for turn in range(3):
+                            work(connected, turn)
+                except Exception as exc:  # surfaced on the test thread
+                    failures.append(exc)
+
+            def evaluate(connected, turn):
+                connected.eval(GOOD.replace("max", f"max{turn}"))
+                assert connected.eval(f"(max{turn} 1 2)") == ["2"]
+
+            def check(connected, turn):
+                assert connected.check_text(f"m{turn}", GOOD)["ok"]
+
+            threads = [
+                threading.Thread(target=on_lane, args=(1, evaluate)),
+                threading.Thread(target=on_lane, args=(0, check)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            daemon.stop()
+        assert failures == []
+        assert entered == {
+            0: {"repro-server-lane-0"},
+            1: {"repro-server-lane-1"},
+        }
+
     def test_concurrent_sessions_interleaved(self, server, corpus_paths):
         outcomes = {}
 
@@ -206,16 +265,15 @@ class TestEpochAndStats:
         finally:
             daemon.stop()
 
-    def test_stop_restores_the_engine_dispatch(self, tmp_path):
-        from repro.server.batcher import BatchingTheoryDispatch
-
+    def test_server_never_replaces_the_engine_dispatch(self, tmp_path):
         engine = Logic()
         original = engine.dispatch
         daemon = CheckingServer(
             ServerConfig(socket_path=str(tmp_path / "rd.sock")), logic=engine
         )
-        assert isinstance(engine.dispatch, BatchingTheoryDispatch)
+        assert engine.dispatch is original
         daemon.start()
+        assert engine.dispatch is original
         daemon.stop()
         assert engine.dispatch is original
 

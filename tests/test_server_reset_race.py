@@ -4,7 +4,7 @@ The seam under audit: a ``reset`` from one connection interleaved with
 another connection's farm-style ``check_text`` stream.  The claimed
 protections are the single engine lane (reset is serialized against
 every in-flight request) and the epoch guard (stale sessions drop
-their module stores and rebuild leases before serving again).  The
+their module stores before serving again).  The
 stress below hammers that seam from both sides and asserts the
 invariant the daemon is built on: verdicts under a reset storm are
 bit-identical to a reset-free run.

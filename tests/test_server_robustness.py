@@ -11,9 +11,13 @@ import time
 
 import pytest
 
+from repro.budget import Budget, CancelledError
 from repro.chaos.faults import ChaosDispatch
+from repro.logic.env import Env
 from repro.logic.prove import Logic
 from repro.server import CheckingServer, Client, ServerConfig, ServerError
+from repro.tr.objects import Var, obj_int
+from repro.tr.props import lin_le
 
 THEORY_HEAVY = """
 (: clamp : [x : Int] [y : Int]
@@ -77,6 +81,23 @@ class TestDeadlines:
                 assert client.check_text("ok", SIMPLE)["ok"]
         finally:
             daemon.stop()
+
+    def test_lane_dispatch_checks_the_budget_before_a_session(self, tmp_path):
+        # an expired request must not pay for a theory-session build
+        daemon = CheckingServer(
+            ServerConfig(socket_path=str(tmp_path / "budget.sock"), lanes=2),
+            logic=Logic(),
+        )
+        goal = lin_le(obj_int(0), Var("x"))
+        for lane in daemon.lanes:
+            budget = Budget()
+            budget.cancel("expired")
+            with lane.logic.budgeted(budget):
+                with pytest.raises(CancelledError):
+                    lane.logic.dispatch.decide(Env(), [goal])
+                with pytest.raises(CancelledError):
+                    lane.logic.dispatch.decide_one(Env(), goal)
+            assert lane.logic.stats.session_builds == 0
 
     def test_server_default_deadline_applies(self, tmp_path):
         daemon = _server(tmp_path, default_deadline_ms=250.0)
