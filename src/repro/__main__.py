@@ -73,7 +73,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if report.jobs_degraded:
         print(
             f"note: --jobs {report.jobs_requested} degraded to "
-            f"{report.jobs} (cpu count)",
+            f"{report.jobs} (cpu count, no fork, or a worker died)",
             file=sys.stderr,
         )
     status = 0
@@ -263,7 +263,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         scenarios=args.scenario or None,
         workload_count=args.workload,
-        jobs=max(1, args.jobs),
     )
     try:
         config.scenario_names()
@@ -293,7 +292,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         # exercises recovery over the same generated workload slice
         args.workload = min(max(2, args.count), 12)
         args.scenario = None
-        args.jobs = max(2, args.shards)
         args.list = False
         return _cmd_chaos(args)
     if args.farm:
@@ -418,10 +416,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         host=args.host,
         port=args.port or 0,
-        jobs=max(1, args.jobs),
         lanes=max(1, args.lanes),
         cache_dir=args.cache_dir,
-        group_max=max(1, args.group_max),
         max_queue_depth=max(0, args.max_queue_depth),
         default_deadline_ms=args.default_deadline_ms,
         hang_seconds=max(0.0, args.hang_seconds),
@@ -433,16 +429,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: cannot bind: {exc}", file=sys.stderr)
         return EXIT_DYNAMIC
     if kind == "unix":
-        print(
-            f"listening on unix socket {where}  "
-            f"(jobs={config.jobs}, lanes={config.lanes})"
-        )
+        print(f"listening on unix socket {where}  (lanes={config.lanes})")
     else:
         host, port = where
-        print(
-            f"listening on {host}:{port}  "
-            f"(jobs={config.jobs}, lanes={config.lanes})"
-        )
+        print(f"listening on {host}:{port}  (lanes={config.lanes})")
     sys.stdout.flush()
     try:
         server.serve_forever()
@@ -714,9 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP bind host (with --port)")
     serve.add_argument("--port", type=int, default=None,
                        help="listen on TCP (0 = ephemeral port)")
-    serve.add_argument("-j", "--jobs", type=int, default=1,
-                       help="resident worker processes for multi-file "
-                            "check requests")
     serve.add_argument("--lanes", type=int, default=1,
                        help="warm engine lanes; each lane owns an engine "
                             "replica and a bounded queue, and connections "
@@ -724,8 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "affinity key)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent proof-cache directory")
-    serve.add_argument("--group-max", type=int, default=16,
-                       help="max in-flight requests drained per engine group")
     serve.add_argument("--max-queue-depth", type=int, default=64,
                        help="bounded request queue; requests past the "
                             "cap are shed immediately with a retryable "
@@ -789,8 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workload", type=int, default=6,
                        help="generated programs in the verification "
                             "workload")
-    chaos.add_argument("--jobs", type=int, default=2,
-                       help="pool size for scenarios that fork workers")
     chaos.add_argument("--json", default=None, metavar="PATH",
                        help="write the campaign report as JSON; - for "
                             "stdout")

@@ -18,7 +18,6 @@ from .cache import ProofCache, env_digest
 from .pipeline import (
     BatchReport,
     FileVerdict,
-    WorkerPool,
     check_many,
     check_one,
     logic_config_key,
@@ -28,7 +27,6 @@ __all__ = [
     "BatchReport",
     "FileVerdict",
     "ProofCache",
-    "WorkerPool",
     "check_many",
     "check_one",
     "env_digest",

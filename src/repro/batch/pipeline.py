@@ -27,7 +27,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..checker.check import Checker
 from ..checker.errors import CheckError
@@ -39,10 +39,10 @@ from .cache import ProofCache
 __all__ = [
     "FileVerdict",
     "BatchReport",
-    "WorkerPool",
     "check_many",
     "check_one",
     "effective_jobs",
+    "fork_map",
     "logic_config_key",
 ]
 
@@ -157,41 +157,35 @@ def _run_chunk(
     return results, logic.stats, delta
 
 
-def _run_chunk_warm(
-    args: Tuple[Sequence[Tuple[int, str]], Optional[str]],
-) -> Tuple[List[Tuple[int, FileVerdict]], EngineStats, Dict[str, object]]:
-    """Chunk runner for resident pool workers.
+def fork_map(
+    function: Callable, tasks: Sequence, processes: int
+) -> Optional[list]:
+    """``Pool.map`` over forked workers; None if it cannot complete.
 
-    Unlike :func:`_run_chunk` (fresh engine per call), a resident
-    worker threads the process-wide shared engine — inherited warm from
-    the parent at fork time and warming further across calls — through
-    every chunk it is ever handed.  Caches are content-addressed, so
-    the sharing cannot change a verdict (the fuzz cache-transparency
-    property); stats are reported as a per-call delta so the parent's
-    merged totals cover exactly this batch.
+    The one place the package forks.  ``Pool.map`` blocks forever when
+    a worker dies mid-task (an OOM kill, a segfault): Pool's supervisor
+    quietly replaces the dead worker, but the replacement never
+    inherits the lost task.  So this maps with ``map_async`` and
+    between polls compares the live worker PIDs with the set the pool
+    started with; any change means the map can no longer finish, and
+    the pool is torn down.  None — also returned where ``fork`` is
+    unavailable — tells the caller to run the tasks in-process, which
+    is always sound: tasks are idempotent and nothing from a broken
+    pool was merged.  A task exception propagates as ``pool.map``'s
+    would.
     """
-    chunk, cache_dir = args
-    logic = Checker().logic
-    baseline = logic.stats.copy()
-    cache: Optional[ProofCache] = None
-    if cache_dir is not None:
-        cache = ProofCache(cache_dir, logic_config_key(logic))
-        logic.attach_persistent_cache(cache)
     try:
-        checker = Checker(logic=logic)
-        results = [(index, check_one(checker, path, cache)) for index, path in chunk]
-    finally:
-        if cache is not None:
-            logic.detach_persistent_cache()
-    delta = cache.delta() if cache is not None else {}
-    return results, logic.stats.delta_from(baseline), delta
-
-
-def _fork_available() -> bool:
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:
-        return False
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+    with ctx.Pool(processes=processes) as pool:
+        started = {worker.pid for worker in pool._pool}
+        result = pool.map_async(function, tasks)
+        while not result.ready():
+            if {w.pid for w in pool._pool if w.is_alive()} != started:
+                return None
+            result.wait(0.05)
+        return result.get()
 
 
 def _deal_chunks(
@@ -229,121 +223,34 @@ def _merge_outcomes(
     return BatchReport(verdicts, stats, jobs=jobs, cache_entries_written=written)
 
 
-class WorkerPool:
-    """A resident fork pool for repeated batch checks.
-
-    ``check --jobs`` forks a fresh pool per invocation; a long-running
-    service would pay that fork (and engine cold-start) on every
-    request.  A ``WorkerPool`` instead keeps the forked workers alive
-    across any number of :meth:`check_many` calls.  Creation is lazy:
-    the pool forks on first use, so workers inherit whatever the parent
-    engine has already learned, and each worker's shared engine keeps
-    warming across requests (sound: the engine caches are
-    content-addressed, so reuse can never change a verdict).
-
-    On platforms without ``fork`` — or with ``jobs=1`` — every call
-    transparently degrades to the in-process path with identical
-    results.
-    """
-
-    def __init__(self, jobs: int, cache_dir: Optional[str] = None) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        # Not clamped to the core count: a resident pool's workers
-        # overlap request handling and reset isolation is pinned
-        # behaviour, so the caller's count is honoured as-is (the
-        # one-shot ``check_many`` path is where oversubscription
-        # degrades).
-        self.jobs_requested = jobs
-        self.jobs = jobs
-        self.cache_dir = cache_dir
-        self._pool = None
-        self.batches = 0
-
-    @property
-    def alive(self) -> bool:
-        return self._pool is not None
-
-    def _ensure(self):
-        if self._pool is None and self.jobs > 1 and _fork_available():
-            ctx = multiprocessing.get_context("fork")
-            self._pool = ctx.Pool(processes=self.jobs)
-        return self._pool
-
-    def check_many(self, paths: Sequence[str]) -> BatchReport:
-        """Check every module on the resident workers, in input order."""
-        indexed = list(enumerate(paths))
-        pool = self._ensure() if len(indexed) > 1 else None
-        self.batches += 1
-        if pool is None:
-            return check_many(
-                paths, jobs=1, cache_dir=self.cache_dir, logic=Checker().logic
-            )
-        chunks = _deal_chunks(indexed, self.jobs)
-        outcomes = self._map_resilient(
-            [(chunk, self.cache_dir) for chunk in chunks]
-        )
-        if outcomes is None:
-            # A worker died mid-batch.  multiprocessing.Pool.map would
-            # block forever here (the dead worker's chunk is never
-            # resubmitted), which under the daemon wedges the single
-            # engine lane for good.  The pool has already been torn
-            # down; re-run the whole batch in-process — slow but
-            # sound, since chunk runners are idempotent and nothing
-            # from the broken pool was merged.
-            return check_many(
-                paths, jobs=1, cache_dir=self.cache_dir, logic=Checker().logic
-            )
-        return _merge_outcomes(indexed, outcomes, self.cache_dir, jobs=self.jobs)
-
-    def _map_resilient(self, tasks):
-        """``pool.map`` with a liveness watchdog; None if the pool broke.
-
-        ``map_async`` + polling: between polls the worker processes are
-        checked for liveness *and* identity — Pool's supervisor thread
-        quietly replaces a dead worker (so "all alive" can hold again
-        moments later), but the replacement never inherits the lost
-        chunk, so a changed PID set means the in-flight map can no
-        longer complete.  Detection tears the pool down (fresh workers
-        next batch) and signals the caller to fall back.
-        """
-        pool = self._pool
-        result = pool.map_async(_run_chunk_warm, tasks)
-        baseline = {worker.pid for worker in pool._pool}
-        while not result.ready():
-            result.wait(0.05)
-            workers = list(pool._pool)
-            alive = {w.pid for w in workers if w.is_alive()}
-            if alive != baseline:
-                self.close()
-                return None
-        # ready: every chunk landed (or raised) — the pool is healthy
-        # and a task exception propagates exactly as pool.map's would
-        return result.get()
-
-    def close(self) -> None:
-        """Tear the workers down (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 # ----------------------------------------------------------------------
 # the pipeline
 # ----------------------------------------------------------------------
+def _check_in_process(
+    indexed: Sequence[Tuple[int, str]], cache_dir: Optional[str], engine: Logic
+) -> BatchReport:
+    cache: Optional[ProofCache] = None
+    if cache_dir is not None:
+        cache = ProofCache(cache_dir, logic_config_key(engine))
+        engine.attach_persistent_cache(cache)
+    try:
+        checker = Checker(logic=engine)
+        verdicts = [check_one(checker, path, cache) for _, path in indexed]
+        written = cache.flush() if cache is not None else 0
+    finally:
+        # the engine may be the process-wide shared one: never leave
+        # the cache attached past this call, even on an escaping error
+        if cache is not None:
+            engine.detach_persistent_cache()
+    stats = EngineStats().merge(engine.stats)
+    return BatchReport(verdicts, stats, jobs=1, cache_entries_written=written)
+
+
 def check_many(
     paths: Sequence[str],
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     logic: Optional[Logic] = None,
-    parallel: Optional[bool] = None,
 ) -> BatchReport:
     """Check every module; returns verdicts in input order.
 
@@ -354,56 +261,30 @@ def check_many(
     stats and flushes the combined cache delta once.  A caller-supplied
     ``logic`` cannot cross the fork boundary (workers need independent
     engines), so supplying one forces the in-process path — a custom
-    engine is never silently swapped for the default.
+    engine is never silently swapped for the default.  If a worker dies
+    mid-batch, the whole batch re-runs in-process.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     requested = jobs
     jobs = effective_jobs(jobs)
     indexed = list(enumerate(paths))
-    use_processes = (
-        jobs > 1 and logic is None and len(indexed) > 1 and _fork_available()
-    )
-    if parallel is not None:
-        use_processes = use_processes and parallel
-
-    if not use_processes:
-        if logic is not None:
-            engine = logic
-        elif requested > 1:
-            # A degraded parallel request emulates the fork path it
-            # replaces: fresh per-worker engines, batch-scoped stats —
-            # not the process-wide engine's lifetime counters.
-            engine = Logic()
-        else:
-            engine = Checker().logic
-        cache: Optional[ProofCache] = None
-        if cache_dir is not None:
-            cache = ProofCache(cache_dir, logic_config_key(engine))
-            engine.attach_persistent_cache(cache)
-        try:
-            checker = Checker(logic=engine)
-            verdicts = [check_one(checker, path, cache) for _, path in indexed]
-            written = cache.flush() if cache is not None else 0
-        finally:
-            # the engine may be the process-wide shared one: never leave
-            # the cache attached past this call, even on an escaping error
-            if cache is not None:
-                engine.detach_persistent_cache()
-        stats = EngineStats().merge(engine.stats)
-        if requested > jobs:
-            hits = stats.rule_hits
-            hits["batch.jobs-degraded"] = hits.get("batch.jobs-degraded", 0) + 1
-        return BatchReport(
-            verdicts, stats, jobs=1,
-            cache_entries_written=written, jobs_requested=requested,
+    report: Optional[BatchReport] = None
+    if jobs > 1 and logic is None and len(indexed) > 1:
+        chunks = _deal_chunks(indexed, jobs)
+        outcomes = fork_map(
+            _run_chunk, [(chunk, cache_dir) for chunk in chunks], len(chunks)
         )
-
-    chunks = _deal_chunks(indexed, jobs)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=len(chunks)) as pool:
-        outcomes = pool.map(_run_chunk, [(chunk, cache_dir) for chunk in chunks])
-    report = _merge_outcomes(indexed, outcomes, cache_dir, jobs=jobs)
+        if outcomes is not None:
+            report = _merge_outcomes(indexed, outcomes, cache_dir, jobs=jobs)
+    if report is None:
+        if logic is None:
+            # A parallel request run in-process (clamped, no fork, or a
+            # worker died) emulates the fork path it replaces: a fresh
+            # engine, batch-scoped stats — not the process-wide
+            # engine's lifetime counters.
+            logic = Logic() if requested > 1 else Checker().logic
+        report = _check_in_process(indexed, cache_dir, logic)
     report.jobs_requested = requested
     if requested > jobs:
         hits = report.stats.rule_hits

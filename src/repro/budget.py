@@ -28,9 +28,8 @@ The active budget travels two ways: explicitly on the ``Logic`` façade
 (``logic.budget``, set by :meth:`Logic.budgeted`) for the kernel
 stages, and via a thread-local for the solver cores, which are built
 standalone and have no back-pointer to the engine.  The engine lane is
-single-threaded, so the thread-local is sound; budgets do **not**
-cross the fork boundary into pool workers (the pool has its own
-PID-level watchdog for that).
+single-threaded, so the thread-local is sound.  The daemon never
+forks, so a budget never needs to cross a process boundary.
 """
 
 from __future__ import annotations

@@ -31,8 +31,6 @@ class ChaosConfig:
     scenarios: Optional[Sequence[str]] = None
     #: generated programs in the verification workload
     workload_count: int = 6
-    #: pool size handed to scenarios that fork (worker_kill needs >= 2)
-    jobs: int = 2
 
     def scenario_names(self) -> List[str]:
         if self.scenarios is None:
@@ -108,7 +106,6 @@ def run_chaos(
                 seed=config.seed,
                 tmpdir=tmpdir,
                 workload=workload,
-                jobs=config.jobs,
             )
             result = SCENARIOS[name](ctx)
             report.results.append(result)

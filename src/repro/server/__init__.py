@@ -12,8 +12,8 @@ cache (PR 3) were built for:
   :class:`~repro.logic.prove.Logic` engines resident across requests
   (lane 0 the process-shared engine, the others replicas of it), gives
   each connection an isolated, epoch-guarded session (module store +
-  REPL scope) pinned to one lane, and fans heavy multi-file checks out
-  to a resident :class:`~repro.batch.pipeline.WorkerPool`.
+  REPL scope) pinned to one lane, and runs every request — multi-file
+  checks included — on that lane's engine.
 * :class:`~repro.server.client.Client` — a small blocking client
   (CLI: ``repro client``) speaking the newline-delimited JSON protocol
   of :mod:`repro.server.protocol` (see ``docs/SERVER.md`` for the wire

@@ -26,27 +26,25 @@ we wish we had:
   — and keeps it for the connection's lifetime, so session-scoped
   incremental re-checking keeps hitting the same warm module store and
   engine caches.
-* **Group draining** (per lane): a lane drains up to ``group_max``
-  queued jobs at once, and the group's multi-file ``check`` jobs merge
-  into one :class:`~repro.batch.pipeline.WorkerPool` dispatch; every
-  other job runs on the lane's engine through the same
+* **One job at a time** (per lane): a lane takes one queued job,
+  syncs its epoch and runs the job on its engine through the same
   :class:`~repro.logic.kernel.dispatch.TheoryDispatch` one-shot
-  ``repro check`` uses.  The fork pool is shared by all lanes and
-  serialized by a lock.
+  ``repro check`` uses; a multi-file ``check`` is
+  :func:`~repro.batch.pipeline.check_many` over the lane's engine.
 
 Epoch coordination — how replicas converge after ``reset``:
 
 * The server keeps one **epoch**; ``reset`` (from any lane) bumps it,
   immediately resets the serving lane's engine, records the new epoch
   in the persistent cache's ``meta.json`` (so epochs stay monotone
-  across daemon restarts over one cache directory) and tears down the
-  shared pool.  Every *other* lane syncs lazily: before running any
-  job it compares its engine's epoch to the server's and calls
-  ``reset_caches(epoch=...)`` if behind.  A request enqueued after the
-  reset response was sent is therefore always served post-reset state
-  — no lane can ever serve a stale proof — while requests already
-  in flight on other lanes complete under the old epoch, which is the
-  usual linearizability for operations that overlap the reset.
+  across daemon restarts over one cache directory).  Every *other*
+  lane syncs lazily: before running any job it compares its engine's
+  epoch to the server's and calls ``reset_caches(epoch=...)`` if
+  behind.  A request enqueued after the reset response was sent is
+  therefore always served post-reset state — no lane can ever serve a
+  stale proof — while requests already in flight on other lanes
+  complete under the old epoch, which is the usual linearizability
+  for operations that overlap the reset.
 
 Robustness layer (deadlines, backpressure, supervision) — all per lane:
 
@@ -83,7 +81,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..batch.cache import ProofCache
-from ..batch.pipeline import WorkerPool, check_many, logic_config_key
+from ..batch.pipeline import check_many, logic_config_key
 from ..budget import Budget, CancelledError
 from ..checker.check import Checker
 from ..logic.prove import EngineStats, Logic
@@ -109,15 +107,10 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: TCP port (0 = ephemeral); ignored when ``socket_path`` is set
     port: int = 0
-    #: worker processes for fanned-out multi-file ``check`` requests;
-    #: 1 keeps everything on the engine lanes
-    jobs: int = 1
     #: warm engine lanes; each owns a Logic replica and a bounded queue
     lanes: int = 1
     #: persistent proof-cache directory (see :mod:`repro.batch.cache`)
     cache_dir: Optional[str] = None
-    #: max in-flight jobs drained into one engine group
-    group_max: int = 16
     #: bounded per-lane job queue; a full lane sheds load with a
     #: retryable ``overloaded`` error instead of queueing unboundedly
     #: (0 = unbounded)
@@ -213,7 +206,6 @@ class _Lane:
         self.current_job: Optional[_Job] = None
         self.failure: Optional[str] = None
         self.requests_total = 0
-        self.groups_total = 0
         #: engine-busy wall clock, for the utilization figure in stats
         self.busy_seconds = 0.0
         #: live connections routed here (router input)
@@ -264,10 +256,10 @@ class _Lane:
             self._engine_loop_inner()
         except BaseException as exc:  # lane death: supervised, not fatal
             if not server._stop.is_set():
-                # per-job exceptions are caught in _run_group, so this
-                # is group bookkeeping dying (or a poison job); record
-                # why and let the watchdog respawn a fresh lane thread
-                # over the warm engine.
+                # per-job exceptions are answered in the loop, so this
+                # is a poison job (or the loop's bookkeeping dying);
+                # record why and let the watchdog respawn a fresh lane
+                # thread over the warm engine.
                 self.failure = f"{type(exc).__name__}: {exc}"
                 return
             raise
@@ -279,85 +271,18 @@ class _Lane:
 
     def _engine_loop_inner(self) -> None:
         server = self.server
-        config = server.config
         while not server._stop.is_set():
             try:
                 job = self.queue.get(timeout=0.1)
             except queue.Empty:
                 continue
-            group = [job]
-            while len(group) < config.group_max:
-                try:
-                    group.append(self.queue.get_nowait())
-                except queue.Empty:
-                    break
             self.sync_epoch()
-            self.groups_total += 1
-            self.requests_total += len(group)
-            busy_from = time.monotonic()
+            self.requests_total += 1
+            job.started_at = busy_from = time.monotonic()
             try:
-                self._run_group(group)
-            finally:
-                self.current_job = None
-                self.busy_seconds += time.monotonic() - busy_from
-                # only reachable when the group was abandoned: the lane
-                # is dying (watchdog respawns it) or the server stopping
-                for pending in group:
-                    if not pending.done.is_set():
-                        pending.response = error_response(
-                            pending.request,
-                            "internal-error",
-                            "engine lane died mid-group; lane restarting",
-                            retryable=True,
-                        )
-                        pending.response.setdefault("lane", self.index)
-                        pending.done.set()
-
-    def _begin_job(self, job: _Job) -> None:
-        job.started_at = time.monotonic()
-        self.current_job = job
-
-    def _cancelled_response(
-        self, request: Dict[str, Any], exc: CancelledError
-    ) -> Dict[str, Any]:
-        self.count(
-            "deadline_exceeded" if exc.code == "deadline_exceeded" else "cancelled"
-        )
-        return error_response(request, exc.code, str(exc), retryable=True)
-
-    def _run_group(self, group: List[_Job]) -> None:
-        for job in group:
-            if job.poison:
-                raise _LanePoison(f"lane {self.index} poisoned (chaos)")
-        # Merge the group's multi-file check workload into one resident
-        # pool dispatch; everything else runs on this warm lane.
-        pooled: List[_Job] = []
-        if self.server.pool is not None:
-            pooled = [j for j in group if j.request["op"] == "check"]
-            if sum(len(j.request["paths"]) for j in pooled) < 2:
-                pooled = []
-        if pooled:
-            # budgets do not cross the fork boundary, so the deadline is
-            # enforced only before dispatch: jobs already expired while
-            # queued are answered without any pool work.
-            live: List[_Job] = []
-            for job in pooled:
-                if job.budget is not None:
-                    try:
-                        job.budget.check()
-                    except CancelledError as exc:
-                        job.response = self._cancelled_response(job.request, exc)
-                        job.response.setdefault("lane", self.index)
-                        job.done.set()
-                        continue
-                live.append(job)
-            if live:
-                self._run_pooled_checks(live)
-        for job in group:
-            if job in pooled:
-                continue
-            self._begin_job(job)
-            try:
+                if job.poison:
+                    raise _LanePoison(f"lane {self.index} poisoned (chaos)")
+                self.current_job = job
                 self._execute(job)
             except CancelledError as exc:
                 # belt-and-braces: _execute turns cancellations into
@@ -368,53 +293,28 @@ class _Lane:
                 job.response = error_response(
                     job.request, "internal-error", f"{type(exc).__name__}: {exc}"
                 )
+            except BaseException:
+                # the lane is dying; the watchdog respawns it
+                job.response = error_response(
+                    job.request,
+                    "internal-error",
+                    "engine lane died mid-job; lane restarting",
+                    retryable=True,
+                )
+                raise
             finally:
                 self.current_job = None
-            job.response.setdefault("lane", self.index)
-            job.done.set()
-
-    def _run_pooled_checks(self, jobs: List[_Job]) -> None:
-        merged: List[str] = []
-        slices: List[Tuple[_Job, int, int]] = []
-        for job in jobs:
-            paths = job.request["paths"]
-            slices.append((job, len(merged), len(merged) + len(paths)))
-            merged.extend(paths)
-        try:
-            # one pool, many lanes: dispatches are serialized — the
-            # fork pool's map/watchdog machinery is not reentrant
-            with self.server._pool_lock:
-                report = self.server.pool.check_many(merged)
-        except Exception as exc:
-            for job, _, _ in slices:
-                job.response = error_response(
-                    job.request, "internal-error", f"{type(exc).__name__}: {exc}"
-                )
+                self.busy_seconds += time.monotonic() - busy_from
                 job.response.setdefault("lane", self.index)
                 job.done.set()
-            return
-        stats = report.stats.as_dict()
-        for job, start, end in slices:
-            verdicts = report.verdicts[start:end]
-            job.response = self.server._respond(
-                job.request,
-                ok=all(v.ok for v in verdicts),
-                verdicts=[
-                    {
-                        "path": v.path,
-                        "ok": v.ok,
-                        "error": v.error,
-                        "types": v.types,
-                        "from_cache": v.from_cache,
-                    }
-                    for v in verdicts
-                ],
-                stats=stats,
-                batched_requests=len(jobs),
-                pooled=True,
-            )
-            job.response.setdefault("lane", self.index)
-            job.done.set()
+
+    def _cancelled_response(
+        self, request: Dict[str, Any], exc: CancelledError
+    ) -> Dict[str, Any]:
+        self.count(
+            "deadline_exceeded" if exc.code == "deadline_exceeded" else "cancelled"
+        )
+        return error_response(request, exc.code, str(exc), retryable=True)
 
     def _execute(self, job: _Job) -> None:
         request = job.request
@@ -478,7 +378,6 @@ class _Lane:
                 }
                 for v in report.verdicts
             ],
-            "pooled": False,
         }
 
     def describe(self, uptime: float) -> Dict[str, Any]:
@@ -491,7 +390,8 @@ class _Lane:
             "queue_depth": self.queue.qsize(),
             "connections": self.connections,
             "requests_total": self.requests_total,
-            "groups_total": self.groups_total,
+            # a lane runs one job at a time, so every group is one job
+            "groups_total": self.requests_total,
             "utilization": round(self.busy_seconds / uptime, 4) if uptime > 0 else 0.0,
             "epoch": self.logic.epoch,
             "robustness": robustness,
@@ -511,8 +411,7 @@ class CheckingServer:
     def __init__(self, config: ServerConfig, logic: Optional[Logic] = None) -> None:
         self.config = config
         #: lane 0's engine is the caller's (default: the process-wide
-        #: shared one, so pool workers fork with every cache the daemon
-        #: has built up); extra lanes get configuration-equal replicas.
+        #: shared one); extra lanes get configuration-equal replicas.
         base = logic if logic is not None else Checker().logic
         lane_count = max(1, config.lanes)
         self._robust_lock = threading.Lock()
@@ -521,10 +420,6 @@ class CheckingServer:
         for index in range(lane_count):
             engine = base if index == 0 else base.replica()
             self._lanes.append(_Lane(self, index, engine))
-        self.pool: Optional[WorkerPool] = (
-            WorkerPool(config.jobs, config.cache_dir) if config.jobs > 1 else None
-        )
-        self._pool_lock = threading.Lock()
         #: the server epoch every lane converges to; resumed from the
         #: cache directory's meta.json so it is monotone across daemon
         #: restarts over one cache dir
@@ -568,10 +463,6 @@ class CheckingServer:
     @property
     def requests_total(self) -> int:
         return sum(lane.requests_total for lane in self._lanes)
-
-    @property
-    def groups_total(self) -> int:
-        return sum(lane.groups_total for lane in self._lanes)
 
     @property
     def robustness(self) -> Dict[str, int]:
@@ -679,9 +570,6 @@ class CheckingServer:
         for thread in list(self._threads) + list(self._conn_threads):
             if thread is not current:
                 thread.join(timeout=5.0)
-        if self.pool is not None:
-            with self._pool_lock:
-                self.pool.close()
         for lane in self._lanes:
             if lane.persist is not None:
                 lane.logic.detach_persistent_cache()
@@ -966,25 +854,12 @@ class CheckingServer:
             # lane; the serving lane's can be guarded right here
             if live.lane_index == lane.index:
                 live.guard_epoch()
-        if self.pool is not None:
-            # resident workers hold pre-reset engine caches; tear
-            # them down so the next pooled check re-forks cold
-            # from the freshly-reset parent.
-            with self._pool_lock:
-                self.pool.close()
         return {"ok": True, "epoch": target}
 
     def _stats(self, session: ServerSession, lane: _Lane) -> Dict[str, Any]:
         uptime = time.monotonic() - self._started_at
         with self._sessions_lock:
             sessions = len(self._sessions)
-        pool_info: Dict[str, Any] = {"jobs": self.config.jobs, "resident": False}
-        if self.pool is not None:
-            pool_info = {
-                "jobs": self.pool.jobs,
-                "resident": self.pool.alive,
-                "batches": self.pool.batches,
-            }
         robustness = self.robustness
         robustness["cache_shards_skipped"] = sum(
             l.persist.shards_skipped for l in self._lanes if l.persist is not None
@@ -1009,9 +884,8 @@ class CheckingServer:
             "server": {
                 "uptime_seconds": round(uptime, 3),
                 "requests_total": self.requests_total,
-                "groups_total": self.groups_total,
+                "groups_total": self.requests_total,
                 "sessions": sessions,
-                "pool": pool_info,
                 "goal_batcher": {
                     "submissions": dispatches,
                     "dispatches": dispatches,

@@ -232,25 +232,27 @@ BUG_CATALOG: Tuple[BugRecord, ...] = (
     ),
     BugRecord(
         bug_id="RTR-003",
-        title="Resident worker pool hangs forever if a fork worker dies",
+        title="The shared fork map hangs forever if a fork worker dies",
         category="batch",
         status="fixed",
         oracle="farm-audit",
         symptom=(
             "A worker process killed mid-batch (OOM kill, segfault in a "
             "native extension) left multiprocessing.Pool.map blocked "
-            "forever; under the daemon this wedged the single engine "
-            "lane, turning one lost worker into a dead service."
+            "forever, so `repro check --jobs N` and `repro fuzz "
+            "--shards N` never returned after one lost worker."
         ),
         root_cause=(
             "multiprocessing.Pool.map has no liveness handling on "
             "Python 3.11: a dead worker's chunk is never resubmitted "
-            "and the MapResult never completes.  WorkerPool.map now "
-            "uses map_async with a liveness watchdog: if any worker "
-            "process dies before the result lands, the pool is torn "
-            "down and the batch re-runs in-process (slow but sound)."
+            "and the MapResult never completes.  Batch check and fuzz "
+            "shards now fork through one shared map, "
+            "batch.pipeline.fork_map, which uses map_async with a "
+            "liveness watchdog: if the worker PID set changes before "
+            "the result lands, the pool is torn down and the caller "
+            "re-runs the work in-process (slow but sound)."
         ),
-        repro="kill -9 one pool worker mid check_many batch",
+        repro="kill -9 one fork worker mid check_many batch or fuzz run",
         first_seen="daemon seam audit, PR 7 (worker-death drill)",
         regression_test="tests/test_pipeline_worker_death.py::test_map_survives_worker_death",
     ),

@@ -132,7 +132,7 @@ class TestDeadlines:
 
 class TestBackpressure:
     def test_queue_overflow_sheds_with_retryable_error(self, tmp_path):
-        daemon = _server(tmp_path, max_queue_depth=1, group_max=1)
+        daemon = _server(tmp_path, max_queue_depth=1)
         try:
             daemon.logic.dispatch = ChaosDispatch(
                 daemon.logic.dispatch, delay_seconds=0.4, max_faults=2
@@ -169,7 +169,7 @@ class TestBackpressure:
             daemon.stop()
 
     def test_shed_request_can_be_retried_to_success(self, tmp_path):
-        daemon = _server(tmp_path, max_queue_depth=1, group_max=1)
+        daemon = _server(tmp_path, max_queue_depth=1)
         try:
             daemon.logic.dispatch = ChaosDispatch(
                 daemon.logic.dispatch, delay_seconds=0.3, max_faults=1
