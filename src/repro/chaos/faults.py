@@ -122,7 +122,3 @@ class ChaosDispatch:
     def decide(self, env, goals):
         self._maybe_fault()
         return self.inner.decide(env, goals)
-
-    def decide_one(self, env, goal):
-        self._maybe_fault()
-        return self.inner.decide_one(env, goal)

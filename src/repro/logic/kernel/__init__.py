@@ -13,9 +13,10 @@ decomposed into three explicit stages, each its own module:
    Replaces the unbounded ``_assimilate``/``_learn_*`` recursion (and
    its threaded ``depth`` parameter) with an explicit queue plus a step
    budget, so arbitrarily deep programs cannot blow the Python stack.
-3. :mod:`~repro.logic.kernel.dispatch` — **theory dispatch**: goal
-   atoms are batched per theory session and answered with one
-   ``entails_batch`` call instead of N single-goal round-trips.
+3. :mod:`~repro.logic.kernel.dispatch` — **theory dispatch**: every
+   consultation is one ``entails_batch`` call on the theory session;
+   a conjunction's atoms share one call instead of N round-trips, and
+   a lone atom is a batch of one.
 
 :mod:`~repro.logic.kernel.prover` evaluates the proof judgment Γ ⊢ ψ
 itself iteratively (an explicit and/or frame stack over the goal's

@@ -1,4 +1,4 @@
-"""Stage 3 — theory dispatch: batched L-Theory consultations.
+"""Stage 3 — theory dispatch: every L-Theory consultation is a batch.
 
 The recursive engine asked the environment's theory session one goal
 at a time; every atom paid a full session round-trip (memo probe, per-
@@ -8,14 +8,16 @@ atom must hold, so all will be consulted anyway — and answers them
 with **one** :meth:`RegistrySession.entails_batch` call: the
 assumption translation (already incremental per session) is shared,
 and per-goal overhead collapses into a single dispatch per theory.
-Disjunction frames stay lazy, preserving short-circuit evaluation.
+Disjunction frames stay lazy, preserving short-circuit evaluation:
+their atoms, and any atom outside a frame, are asked as a batch of
+one through the same call — there is no separate single-goal path.
 
-Correctness: ``entails_batch`` is answer-equivalent to per-goal
-``entails`` (both share the session memo), so batching can never
-change a verdict — it only changes how many times the session is
-crossed.  :class:`~repro.logic.prove.EngineStats` gains a
-``theory_batches`` counter so the --stats table shows how many
-round-trips the batching saved.
+Correctness: a goal's answer does not depend on the batch it rides in
+(the session memo and every context answer goals independently), so
+batching can never change a verdict — it only changes how many times
+the session is crossed.  :class:`~repro.logic.prove.EngineStats`
+counts ``theory_batches`` (calls with two or more goals) so the
+--stats table shows how many round-trips the batching saved.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = ["TheoryDispatch"]
 
 
 class TheoryDispatch:
-    """Batches goal atoms per environment session."""
+    """Answers goal atoms with one session batch call."""
 
     __slots__ = ("logic",)
 
@@ -39,7 +41,11 @@ class TheoryDispatch:
     def decide(
         self, env: Env, goals: Sequence[TheoryProp]
     ) -> Dict[TheoryProp, bool]:
-        """Answer every goal with one session batch call."""
+        """Answer every goal with one session batch call.
+
+        A lone goal counts as ``dispatch.single``; two or more count as
+        ``dispatch.batch`` and one ``theory_batches`` round-trip.
+        """
         logic = self.logic
         budget = logic.budget
         if budget is not None:
@@ -49,9 +55,12 @@ class TheoryDispatch:
             budget.check()
         stats = logic.stats
         stats.theory_goals += len(goals)
-        stats.theory_batches += 1
         hits = stats.rule_hits
-        hits["dispatch.batch"] = hits.get("dispatch.batch", 0) + 1
+        if len(goals) > 1:
+            stats.theory_batches += 1
+            hits["dispatch.batch"] = hits.get("dispatch.batch", 0) + 1
+        else:
+            hits["dispatch.single"] = hits.get("dispatch.single", 0) + 1
         timers = logic.timers
         if timers is None:
             session = logic.theory_session(env)
@@ -60,24 +69,5 @@ class TheoryDispatch:
         try:
             session = logic.theory_session(env)
             return dict(zip(goals, session.entails_batch(goals)))
-        finally:
-            timers.exit("dispatch", started)
-
-    def decide_one(self, env: Env, goal: TheoryProp) -> bool:
-        """The single-goal path (atoms outside any and/or frame)."""
-        logic = self.logic
-        budget = logic.budget
-        if budget is not None:
-            budget.check()
-        stats = logic.stats
-        stats.theory_goals += 1
-        hits = stats.rule_hits
-        hits["dispatch.single"] = hits.get("dispatch.single", 0) + 1
-        timers = logic.timers
-        if timers is None:
-            return logic.theory_session(env).entails(goal)
-        started = timers.enter("dispatch")
-        try:
-            return logic.theory_session(env).entails(goal)
         finally:
             timers.exit("dispatch", started)

@@ -10,11 +10,12 @@ and subtyping through refinements, all of which are fuel-bounded by
 ``max_depth`` (a bound on proof search effort, independent of program
 size).
 
-Theory goals go through the dispatch stage: when a frame holds two or
-more theory atoms they are canonicalised and answered by **one**
-``entails_batch`` call on the environment's theory session
-(:class:`~repro.logic.kernel.dispatch.TheoryDispatch`), instead of one
-session round-trip per atom.
+Theory goals go through the dispatch stage
+(:class:`~repro.logic.kernel.dispatch.TheoryDispatch`), which answers
+every consultation with one ``entails_batch`` call on the environment's
+theory session: when a conjunction frame holds two or more theory atoms
+they are canonicalised and asked together, instead of one session
+round-trip per atom; any other atom is a batch of one.
 
 The memo tables (proof, subtype, lookup) and statistics live on the
 owning :class:`~repro.logic.prove.Logic`; the kernel reads and writes
@@ -233,7 +234,7 @@ class ProofKernel:
                 if isinstance(canonical, TheoryProp) and canonical not in atoms:
                     atoms.append(canonical)
         if len(atoms) < 2:
-            return None  # nothing to batch; singles go through decide_one
+            return None  # nothing to batch; each atom is asked on its own
         return self.logic.dispatch.decide(env, atoms)
 
     def _prove_theory(
@@ -252,7 +253,7 @@ class ProofKernel:
             answer = batch.get(canonical)
             if answer is not None:
                 return answer
-        return self.logic.dispatch.decide_one(env, canonical)  # L-Theory
+        return self.logic.dispatch.decide(env, (canonical,))[canonical]  # L-Theory
 
     # ------------------------------------------------------------------
     # case splits (∨-elimination over stored disjunctions)

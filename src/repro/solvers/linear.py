@@ -199,17 +199,7 @@ class IncrementalConstraintSet:
         return self._sat_memo
 
     def entails(self, goal: Constraint, max_constraints: int = 6000) -> bool:
-        if self._contradiction_level is not None:
-            return True  # ex falso
-        cached = self._memo.get(goal)
-        if cached is None:
-            if self._engine is not None:
-                cached = self._engine.entails(goal, max_pivots=max_constraints)
-                self._flush()
-            else:
-                cached = fm_entails(self.constraints(), goal, max_constraints)
-            self._memo[goal] = cached
-        return cached
+        return self.entails_many((goal,), max_constraints)[0]
 
     def entails_many(
         self, goals: Sequence[Constraint], max_constraints: int = 6000
@@ -220,8 +210,7 @@ class IncrementalConstraintSet:
         the *same* tableau — the assumptions are translated once for the
         whole batch.  Under ``legacy`` the assumption constraints are
         materialised once and shared by every elimination run.  Answers
-        agree exactly with per-goal :meth:`entails` calls (both go
-        through the same memo).
+        are memoised until the next content change.
         """
         if self._contradiction_level is not None:
             return [True] * len(goals)

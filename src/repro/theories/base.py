@@ -15,7 +15,10 @@ Integrating a theory T into λRTR requires, per the paper:
 This module defines the solver-side contract (step 4): a
 :class:`Theory` answers entailment queries ``Γ ⊨_T χ`` given the
 theory-relevant propositions the logic extracted from the environment
-(the ``[[Γ]]_T`` of the L-Theory rule).
+(the ``[[Γ]]_T`` of the L-Theory rule), and a :class:`TheoryContext`
+answers the same queries incrementally — assumptions are asserted
+once, every query is an ``entails_batch`` call (a lone goal is a batch
+of one), and assumptions are scoped by ``clone``, never retracted.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class Theory:
     def context(self) -> "TheoryContext":
         """A fresh incremental assumption context for this theory.
 
-        The default wraps :meth:`entails` in a :class:`BatchContext`;
+        The default wraps :meth:`entails_batch` in a :class:`BatchContext`;
         theories with genuinely incremental solvers override this to
         return a context that keeps translated state across queries.
         """
@@ -86,31 +89,25 @@ class Theory:
 
 
 class TheoryContext:
-    """An SMT-style incremental solver context (``push``/``assert``/``pop``).
+    """An incremental solver context: assert once, ask many times.
 
     The L-Theory query path used to re-encode the whole of ``[[Γ]]_T``
     on every goal; a context instead *accumulates* assumptions — each
-    translated once — and answers any number of goals against them.
-    Contexts mirror the discipline of an SMT solver session:
+    translated once — and answers any number of goals against them:
 
-    * :meth:`assert_prop` adds one assumption to the current frame
-      (atoms the theory does not accept are ignored — dropping
-      assumptions is sound);
-    * :meth:`push` / :meth:`pop` bracket speculative assumptions;
-    * :meth:`entails` decides a goal under everything asserted;
-    * :meth:`clone` forks the context so a child environment can start
-      from its parent's already-translated assumption set.
+    * :meth:`assert_prop` adds one assumption (atoms the theory does
+      not accept are ignored — dropping assumptions is sound);
+    * :meth:`entails_batch` decides goals under everything asserted —
+      the one query a context implements; :meth:`entails` is a batch
+      of one;
+    * :meth:`clone` forks the context, so a child environment starts
+      from its parent's already-translated assumption set.  Clones are
+      how assumptions are scoped: nothing is ever retracted.
 
-    Soundness contract: like :meth:`Theory.entails`, ``entails`` may
+    Soundness contract: like :meth:`Theory.entails`, a context may
     answer ``True`` only when the asserted assumptions really entail
     the goal; ``False`` ("not proved") is always safe.
     """
-
-    def push(self) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> None:
-        raise NotImplementedError
 
     def assert_prop(self, prop: Prop) -> None:
         raise NotImplementedError
@@ -125,18 +122,15 @@ class TheoryContext:
         """
 
     def entails(self, goal: TheoryProp) -> bool:
-        raise NotImplementedError
+        return self.entails_batch((goal,))[0]
 
     def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
         """Decide several goals under the asserted assumptions.
 
-        One call per theory session instead of N single-goal
-        round-trips: contexts backed by incremental solvers override
-        this so per-batch work (assumption flattening, range analysis,
-        encoding setup) happens once.  Answers are positional and must
-        agree exactly with per-goal :meth:`entails` calls.
+        Answers are positional.  Per-batch work (assumption flattening,
+        range analysis, encoding setup) happens once per call.
         """
-        return [self.entails(goal) for goal in goals]
+        raise NotImplementedError
 
     def clone(self) -> "TheoryContext":
         raise NotImplementedError
@@ -153,46 +147,26 @@ class TheoryContext:
 class BatchContext(TheoryContext):
     """Fallback context for theories without an incremental solver.
 
-    Keeps the accepted assumptions in push/pop frames and re-runs the
-    theory's batch :meth:`~Theory.entails` per goal, memoising answers
-    until the assumption set changes — still a large win over
-    re-translating the environment on every query.
+    Keeps the accepted assumptions in a flat list and hands each batch
+    of unanswered goals to the theory's one-shot
+    :meth:`~Theory.entails_batch`, memoising answers until the
+    assumption set changes — still a large win over re-translating the
+    environment on every query.
     """
 
-    __slots__ = ("theory", "_frames", "_memo")
+    __slots__ = ("theory", "_assumptions", "_memo")
 
     def __init__(self, theory: Theory) -> None:
         self.theory = theory
-        self._frames: List[List[TheoryProp]] = [[]]
+        self._assumptions: List[TheoryProp] = []
         self._memo: dict = {}
-
-    def push(self) -> None:
-        self._frames.append([])
-
-    def pop(self) -> None:
-        if len(self._frames) == 1:
-            raise IndexError("pop without matching push")
-        if self._frames.pop():
-            self._memo = {}
 
     def assert_prop(self, prop: Prop) -> None:
         if isinstance(prop, TheoryProp) and self.theory.accepts(prop):
-            self._frames[-1].append(prop)
+            self._assumptions.append(prop)
             self._memo = {}
 
-    def entails(self, goal: TheoryProp) -> bool:
-        if not self.theory.accepts(goal):
-            return False
-        cached = self._memo.get(goal)
-        if cached is None:
-            assumptions = [prop for frame in self._frames for prop in frame]
-            cached = self.theory.entails(assumptions, goal)
-            self._memo[goal] = cached
-        return cached
-
     def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
-        """Flatten the assumption frames once for the whole batch."""
-        assumptions: Optional[List[TheoryProp]] = None
         results: List[bool] = []
         fresh: List[TheoryProp] = []
         for goal in goals:
@@ -201,14 +175,12 @@ class BatchContext(TheoryContext):
                 continue
             cached = self._memo.get(goal)
             if cached is None:
-                if assumptions is None:
-                    assumptions = [p for frame in self._frames for p in frame]
                 fresh.append(goal)
                 results.append(False)  # placeholder, patched below
             else:
                 results.append(cached)
         if fresh:
-            answers = self.theory.entails_batch(assumptions, fresh)
+            answers = self.theory.entails_batch(self._assumptions, fresh)
             patched = dict(zip(fresh, answers))
             self._memo.update(patched)
             results = [patched.get(goal, res) for goal, res in zip(goals, results)]
@@ -216,6 +188,6 @@ class BatchContext(TheoryContext):
 
     def clone(self) -> "BatchContext":
         dup = BatchContext(self.theory)
-        dup._frames = [list(frame) for frame in self._frames]
+        dup._assumptions = list(self._assumptions)
         dup._memo = dict(self._memo)
         return dup

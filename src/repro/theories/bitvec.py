@@ -11,6 +11,10 @@ that no encoded term can wrap.  Before encoding, every atom is checked
 to be *grounded*: a conservative interval analysis over the available
 range assumptions must bound it below ``2^width``.  If any term cannot
 be bounded the query is declined (sound: "not proved").
+
+:class:`BitvectorContext` is the incremental form: it keeps a flat
+assumption list, blasts it once per assumption generation and answers
+every query as a batch against that shared encoding.
 """
 
 from __future__ import annotations
@@ -371,24 +375,26 @@ class _Encoder:
 
 class BitvectorContext(TheoryContext):
     """Incremental bitvector context: Γ is bit-blasted once per
-    assumption generation, goals ride a push/pop clause stack.
+    assumption generation.
 
-    The batch path re-runs the range analysis and re-encodes every
+    The one-shot theory re-runs the range analysis and re-encodes every
     assumption for *each* goal.  This context instead keeps a
     persistent :class:`BitBlaster`/encoder pair and an
     :class:`~repro.solvers.sat.IncrementalSatSolver`: assumption
-    clauses are asserted once, each goal adds its (conservative
-    Tseitin) definition clauses to the shared encoding, and only the
-    negated-goal unit lives inside a ``push``/``pop`` bracket.  Any
-    change to the assumption set simply drops the encoding, which is
-    rebuilt lazily on the next query.
+    clauses are asserted once, and each goal's (conservative Tseitin)
+    definition clauses plus its negated-goal unit are probed against
+    that shared prefix and then retracted.  Any change to the
+    assumption set simply drops the encoding, which is rebuilt lazily
+    on the next query.
     """
 
-    __slots__ = ("theory", "_frames", "_memo", "_bounds", "_encoded", "_counters")
+    __slots__ = (
+        "theory", "_assumptions", "_memo", "_bounds", "_encoded", "_counters"
+    )
 
     def __init__(self, theory: BitvectorTheory) -> None:
         self.theory = theory
-        self._frames: List[List[Union[LeqZero, BVProp]]] = [[]]
+        self._assumptions: List[Union[LeqZero, BVProp]] = []
         self._memo: Dict[TheoryProp, bool] = {}
         #: lazily built range analysis over the current assumptions
         self._bounds: Optional[_Bounds] = None
@@ -402,30 +408,16 @@ class BitvectorContext(TheoryContext):
         if self._encoded is not None:
             self._encoded[2].bind_counters(shared)
 
-    def push(self) -> None:
-        self._frames.append([])
-
-    def pop(self) -> None:
-        if len(self._frames) == 1:
-            raise IndexError("pop without matching push")
-        if self._frames.pop():
-            self._memo = {}
-            self._bounds = None
-            self._encoded = None
-
     def assert_prop(self, prop: Prop) -> None:
         if isinstance(prop, (LeqZero, BVProp)):
-            self._frames[-1].append(prop)
+            self._assumptions.append(prop)
             self._memo = {}
             self._bounds = None
             self._encoded = None
-
-    def _assumptions(self) -> List[Union[LeqZero, BVProp]]:
-        return [prop for frame in self._frames for prop in frame]
 
     def _ensure_bounds(self) -> "_Bounds":
         if self._bounds is None:
-            self._bounds = _gather_bounds(self._assumptions())[0]
+            self._bounds = _gather_bounds(self._assumptions)[0]
         return self._bounds
 
     def _groundable(self, goal: TheoryProp, bounds: "_Bounds") -> bool:
@@ -459,7 +451,7 @@ class BitvectorContext(TheoryContext):
 
     def _ensure_encoded(self) -> list:
         if self._encoded is None:
-            assumptions = self._assumptions()
+            assumptions = self._assumptions
             bounds = self._ensure_bounds()
             blaster = BitBlaster()
             encoder = _Encoder(blaster, bounds, self.theory.width)
@@ -474,19 +466,6 @@ class BitvectorContext(TheoryContext):
             solver.add_clauses(blaster.clauses)
             self._encoded = [blaster, encoder, solver]
         return self._encoded
-
-    def entails(self, goal: TheoryProp) -> bool:
-        if not isinstance(goal, (BVProp, LeqZero)):
-            return False
-        cached = self._memo.get(goal)
-        if cached is not None:
-            return cached
-        if not self._groundable(goal, self._ensure_bounds()):
-            self._memo[goal] = False  # decline without blasting Γ
-            return False
-        result = self._decide_encoded(goal)
-        self._memo[goal] = result
-        return result
 
     def _speculative_clauses(self, goal: TheoryProp) -> Optional[List[List[int]]]:
         """Encode ``goal`` and return its clause set plus the ¬goal unit.
@@ -507,14 +486,6 @@ class BitvectorContext(TheoryContext):
         del blaster.clauses[clause_mark:]
         encoder.release(encoder_mark)
         return extra
-
-    def _decide_encoded(self, goal: TheoryProp) -> bool:
-        """Refute ``¬goal`` against the shared assumption encoding."""
-        extra = self._speculative_clauses(goal)
-        if extra is None:
-            return False  # goal not groundable after all: decline
-        solver = self._encoded[2]
-        return not solver.check_many([extra])[0]
 
     def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
         """Blast ``[[Γ]]_T`` at most once for the whole batch.
@@ -563,7 +534,7 @@ class BitvectorContext(TheoryContext):
     def clone(self) -> "BitvectorContext":
         dup = BitvectorContext.__new__(BitvectorContext)
         dup.theory = self.theory
-        dup._frames = [list(frame) for frame in self._frames]
+        dup._assumptions = list(self._assumptions)
         dup._memo = dict(self._memo)
         # The analysis and encoding are rebuilt lazily on the clone
         # (sharing a blaster between forked contexts would entangle

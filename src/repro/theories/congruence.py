@@ -16,6 +16,9 @@ merge refutes everything).  A goal about a *linear combination* is
 evaluated residue-wise — ``Σ aᵢxᵢ + c (mod m)`` is determined whenever
 each ``xᵢ`` has a known residue modulo a multiple of ``m`` — so facts
 like "2x is even" come out for free from the linear structure.
+:class:`CongruenceContext` keeps that residue table incrementally; an
+inconsistent merge latches a flag rather than being undone, since
+assumptions are scoped by cloning the context.
 """
 
 from __future__ import annotations
@@ -116,70 +119,36 @@ class CongruenceTheory(Theory):
 
 
 class CongruenceContext(TheoryContext):
-    """Incremental residue table with a push/pop undo trail.
+    """Incremental residue table.
 
     Assertions CRT-merge into a persistent atom → (modulus, residue)
-    map; each frame records the entries it overwrote so :meth:`pop`
-    restores them exactly.  An inconsistent merge latches the frame's
-    inconsistency flag (ex falso: everything is then entailed) until
-    the offending frame is popped.
+    map.  An inconsistent merge latches the inconsistency flag (ex
+    falso: everything is then entailed); a clone taken before the
+    merge keeps answering from its own table.
     """
 
-    __slots__ = ("theory", "_known", "_trail", "_inconsistent_level")
+    __slots__ = ("theory", "_known", "_inconsistent")
 
     def __init__(self, theory: CongruenceTheory) -> None:
         self.theory = theory
         self._known: Dict[Obj, Tuple[int, int]] = {}
-        #: one undo frame per push level: (obj, previous entry or None)
-        self._trail: List[List[Tuple[Obj, Optional[Tuple[int, int]]]]] = [[]]
-        self._inconsistent_level: Optional[int] = None
-
-    def push(self) -> None:
-        self._trail.append([])
-
-    def pop(self) -> None:
-        if len(self._trail) == 1:
-            raise IndexError("pop without matching push")
-        for obj, previous in reversed(self._trail.pop()):
-            if previous is None:
-                del self._known[obj]
-            else:
-                self._known[obj] = previous
-        if (
-            self._inconsistent_level is not None
-            and self._inconsistent_level >= len(self._trail)
-        ):
-            self._inconsistent_level = None
+        self._inconsistent = False
 
     def assert_prop(self, prop: Prop) -> None:
-        if not isinstance(prop, Congruence) or self._inconsistent_level is not None:
+        if not isinstance(prop, Congruence) or self._inconsistent:
             return
         entry = (prop.modulus, prop.residue % prop.modulus)
         previous = self._known.get(prop.obj)
         if previous is not None:
-            merged = merge_congruences(previous, entry)
-            if merged is None:
-                self._inconsistent_level = len(self._trail) - 1
+            entry = merge_congruences(previous, entry)
+            if entry is None:
+                self._inconsistent = True
                 return
-            if merged == previous:
-                return
-            entry = merged
-        self._trail[-1].append((prop.obj, previous))
         self._known[prop.obj] = entry
-
-    def entails(self, goal: TheoryProp) -> bool:
-        if not isinstance(goal, Congruence):
-            return False
-        if self._inconsistent_level is not None:
-            return True
-        residue = self.theory._residue_of(goal.obj, goal.modulus, self._known)
-        if residue is None:
-            return False
-        return residue == goal.residue % goal.modulus
 
     def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
         """Every goal reads the same residue table — one pass, no setup."""
-        if self._inconsistent_level is not None:
+        if self._inconsistent:
             return [isinstance(goal, Congruence) for goal in goals]
         residue_of = self.theory._residue_of
         known = self._known
@@ -198,6 +167,5 @@ class CongruenceContext(TheoryContext):
         dup = CongruenceContext.__new__(CongruenceContext)
         dup.theory = self.theory
         dup._known = dict(self._known)
-        dup._trail = [list(frame) for frame in self._trail]
-        dup._inconsistent_level = self._inconsistent_level
+        dup._inconsistent = self._inconsistent
         return dup

@@ -108,25 +108,12 @@ class LinArithContext(TheoryContext):
         self.theory = theory
         self._set = IncrementalConstraintSet(backend=theory.solver_backend)
 
-    def push(self) -> None:
-        self._set.push()
-
-    def pop(self) -> None:
-        self._set.pop()
-
     def bind_counters(self, shared: Optional[Dict[str, int]]) -> None:
         self._set.bind_counters(shared)
 
     def assert_prop(self, prop: Prop) -> None:
         if isinstance(prop, LeqZero):
             self._set.add(constraint_of_leqzero(prop))
-
-    def entails(self, goal: TheoryProp) -> bool:
-        if not isinstance(goal, LeqZero):
-            return False
-        return self._set.entails(
-            constraint_of_leqzero(goal), self.theory.max_constraints
-        )
 
     def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
         """One solver consultation for the whole batch.

@@ -7,17 +7,15 @@ bitvectors) plus the congruence extension, and new
 :class:`~repro.theories.base.Theory` instances can be registered at
 runtime — the integration recipe of section 3.4.
 
-Two query paths are offered:
-
-* :meth:`TheoryRegistry.entails` — the one-shot batch judgment.  Each
-  theory now only sees the assumptions it :meth:`~Theory.accepts`,
-  instead of being handed the full assumption list to re-filter on
-  every goal.
-* :meth:`TheoryRegistry.session` — a :class:`RegistrySession` bundling
-  one incremental :class:`~repro.theories.base.TheoryContext` per
-  theory.  The proof engine keeps a session per environment state and
-  derives child sessions from parent ones, so Γ is translated into each
-  solver once rather than once per goal.
+The proof engine asks through :meth:`TheoryRegistry.session` — a
+:class:`RegistrySession` bundling one incremental
+:class:`~repro.theories.base.TheoryContext` per theory.  It keeps a
+session per environment state and derives child sessions from parent
+ones, so Γ is translated into each solver once rather than once per
+goal, and every goal (a lone atom is a batch of one) is answered by
+:meth:`RegistrySession.entails_batch`.  :meth:`TheoryRegistry.entails`
+is the one-shot judgment, kept as the reference the incremental path
+is tested against.
 """
 
 from __future__ import annotations
@@ -67,38 +65,6 @@ class TheoryRegistry:
                 return True
         return False
 
-    def entails_batch(
-        self, assumptions: Sequence[Prop], goals: Sequence[TheoryProp]
-    ) -> List[bool]:
-        """The batched L-Theory judgment, positionally.
-
-        Assumptions are filtered per theory *once* for the whole batch
-        and each theory receives a single :meth:`Theory.entails_batch`
-        call covering every goal it accepts that an earlier theory has
-        not already discharged — answer-equivalent to per-goal
-        :meth:`entails` but with one dispatch per theory instead of
-        one per (theory, goal) pair.
-        """
-        goals = list(goals)
-        verdicts: Dict[TheoryProp, bool] = {goal: False for goal in goals}
-        remaining = list(verdicts)
-        for theory in self._theories:
-            if not remaining:
-                break
-            attempt = [goal for goal in remaining if theory.accepts(goal)]
-            if not attempt:
-                continue
-            relevant = [
-                prop
-                for prop in assumptions
-                if isinstance(prop, TheoryProp) and theory.accepts(prop)
-            ]
-            for goal, answer in zip(attempt, theory.entails_batch(relevant, attempt)):
-                if answer:
-                    verdicts[goal] = True
-            remaining = [goal for goal in remaining if not verdicts[goal]]
-        return [verdicts[goal] for goal in goals]
-
     def session(
         self,
         counters: Optional[Dict[str, int]] = None,
@@ -112,13 +78,12 @@ class RegistrySession:
     """One incremental context per theory, driven in lock-step.
 
     ``assert_prop`` fans an assumption out to the contexts that accept
-    it; ``entails`` consults the accepting theories in registration
-    order, memoising each goal's answer until the assumption set
-    changes.  ``push``/``pop`` bracket speculative assumptions across
-    every context at once, and ``derive`` forks the session (cloning
-    the translated solver state) and asserts a delta — how a child
+    it; ``entails_batch`` consults the accepting theories in
+    registration order, memoising each goal's answer until the
+    assumption set changes.  ``derive`` forks the session (cloning the
+    translated solver state) and asserts a delta — how a child
     environment's session is built from its parent's without
-    re-encoding Γ.
+    re-encoding Γ, and the only way assumptions are scoped.
 
     ``counters`` (theory name → query count) is shared with the caller
     so the engine can report per-theory query totals;
@@ -163,72 +128,37 @@ class RegistrySession:
         for prop in props:
             self.assert_prop(prop)
 
-    def push(self) -> None:
-        for context in self._contexts:
-            context.push()
-
-    def pop(self) -> None:
-        for context in self._contexts:
-            context.pop()
-        self._memo = {}
-
     # ------------------------------------------------------------------
     def entails(self, goal: TheoryProp) -> bool:
-        cached = self._memo.get(goal)
-        if cached is not None:
-            return cached
-        result = False
-        for theory, context in zip(self._theories, self._contexts):
-            if not theory.accepts(goal):
-                continue
-            self.counters[theory.name] = self.counters.get(theory.name, 0) + 1
-            if context.entails(goal):
-                result = True
-                break
-        self._memo[goal] = result
-        return result
+        return self.entails_batch((goal,))[0]
 
     def entails_batch(self, goals: Sequence[TheoryProp]) -> List[bool]:
         """Decide a batch of goals with one dispatch per theory.
 
-        The kernel's theory stage groups goal atoms and calls this once
-        per session instead of N times: unresolved goals flow through
-        the theories in registration order, each theory seeing the
-        whole sub-batch it accepts via one
-        :meth:`TheoryContext.entails_batch` call.  Memoisation and the
-        per-theory query counters behave exactly as N single-goal
-        :meth:`entails` calls would.
+        Unresolved goals flow through the theories in registration
+        order, each theory seeing the whole sub-batch it accepts via
+        one :meth:`TheoryContext.entails_batch` call.  A theory's query
+        counter grows by the goals it was asked, and answers are
+        memoised until the assumption set changes.
         """
-        goals = list(goals)
-        results: List[Optional[bool]] = [None] * len(goals)
-        positions: Dict[TheoryProp, List[int]] = {}
-        for index, goal in enumerate(goals):
-            cached = self._memo.get(goal)
-            if cached is not None:
-                results[index] = cached
-            else:
-                positions.setdefault(goal, []).append(index)
-        if positions:
-            verdicts: Dict[TheoryProp, bool] = {goal: False for goal in positions}
-            remaining = list(verdicts)
-            for theory, context in zip(self._theories, self._contexts):
-                if not remaining:
-                    break
-                attempt = [goal for goal in remaining if theory.accepts(goal)]
-                if not attempt:
-                    continue
-                self.counters[theory.name] = (
-                    self.counters.get(theory.name, 0) + len(attempt)
-                )
-                for goal, answer in zip(attempt, context.entails_batch(attempt)):
-                    if answer:
-                        verdicts[goal] = True
-                remaining = [goal for goal in remaining if not verdicts[goal]]
-            for goal, verdict in verdicts.items():
-                self._memo[goal] = verdict
-                for index in positions[goal]:
-                    results[index] = verdict
-        return [bool(answer) for answer in results]
+        memo = self._memo
+        verdicts = {goal: False for goal in goals if goal not in memo}
+        remaining = list(verdicts)
+        for theory, context in zip(self._theories, self._contexts):
+            if not remaining:
+                break
+            attempt = [goal for goal in remaining if theory.accepts(goal)]
+            if not attempt:
+                continue
+            self.counters[theory.name] = (
+                self.counters.get(theory.name, 0) + len(attempt)
+            )
+            for goal, answer in zip(attempt, context.entails_batch(attempt)):
+                if answer:
+                    verdicts[goal] = True
+            remaining = [goal for goal in remaining if not verdicts[goal]]
+        memo.update(verdicts)
+        return [memo[goal] for goal in goals]
 
     def invalidate(self) -> None:
         """Drop memoised answers so a retained handle recomputes.

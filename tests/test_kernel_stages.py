@@ -151,7 +151,15 @@ class TestDispatchStage:
         env = logic.extend(Env(), lin_le(X, obj_int(5)))
         goal = make_and((lin_le(X, obj_int(6)), lin_le(X, obj_int(7))))
         assert logic.proves(env, goal)
-        assert logic.stats.theory_batches >= 1
+        hits = logic.stats.rule_hits
+        assert logic.stats.theory_batches == 1
+        assert hits["dispatch.batch"] == 1
+        assert "dispatch.single" not in hits
+        # a lone atom is a batch of one, counted as a single dispatch
+        assert logic.proves(env, lin_le(X, obj_int(8)))
+        assert hits["dispatch.single"] == 1
+        assert hits["dispatch.batch"] == 1
+        assert logic.stats.theory_batches == 1
 
     def test_batched_answers_match_singles(self):
         goals = [lin_le(X, obj_int(6)), lin_le(obj_int(9), X)]

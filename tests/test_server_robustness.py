@@ -95,8 +95,6 @@ class TestDeadlines:
             with lane.logic.budgeted(budget):
                 with pytest.raises(CancelledError):
                     lane.logic.dispatch.decide(Env(), [goal])
-                with pytest.raises(CancelledError):
-                    lane.logic.dispatch.decide_one(Env(), goal)
             assert lane.logic.stats.session_builds == 0
 
     def test_server_default_deadline_applies(self, tmp_path):
@@ -221,10 +219,6 @@ class TestWatchdog:
                 def decide(self, env, goals):
                     self._fault()
                     return self.inner.decide(env, goals)
-
-                def decide_one(self, env, goal):
-                    self._fault()
-                    return self.inner.decide_one(env, goal)
 
             daemon.logic.dispatch = LaneKiller(daemon.logic.dispatch)
             with _connect(daemon) as client:

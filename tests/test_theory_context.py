@@ -1,14 +1,13 @@
-"""The incremental theory-context API (push / assert_prop / pop).
+"""The incremental theory-context API (assert_prop / entails_batch / clone).
 
-Each theory's context must agree with its batch ``entails`` on every
-assumption set reachable through pushes and pops — the context is an
-optimisation, never a semantics change.  The tests drive each concrete
-context (linear arithmetic, bitvectors, congruence), the registry
-session that multiplexes them, and the incremental solver structures
-underneath.
+Each theory's context must agree with its one-shot ``entails`` on every
+assumption set reachable through assertions and clones — the context
+is an optimisation, never a semantics change.  Assumptions are scoped
+by cloning: facts asserted on a clone must never leak into the parent.
+The tests drive each concrete context (linear arithmetic, bitvectors,
+congruence), the registry session that multiplexes them, and the
+incremental solver structures underneath.
 """
-
-import pytest
 
 from repro.solvers.linear import (
     SAT,
@@ -43,26 +42,24 @@ class TestLinArithContext:
         goal = leq(x, obj_int(10))
         assert ctx.entails(goal) == theory.entails(facts, goal) == True
 
-    def test_push_pop_restores_answers(self):
+    def test_clone_scopes_answers(self):
         ctx = LinearArithmeticTheory().context()
         ctx.assert_prop(leq(x, obj_int(5)))
         tight = leq(x, obj_int(3))
         assert not ctx.entails(tight)
-        ctx.push()
-        ctx.assert_prop(leq(x, obj_int(2)))
-        assert ctx.entails(tight)
-        ctx.pop()
+        scoped = ctx.clone()
+        scoped.assert_prop(leq(x, obj_int(2)))
+        assert scoped.entails(tight)
         assert not ctx.entails(tight)
 
-    def test_contradiction_scoped_to_frame(self):
+    def test_contradiction_scoped_to_clone(self):
         ctx = LinearArithmeticTheory().context()
         ctx.assert_prop(leq(obj_int(0), x))
         assert not ctx.is_unsat()
-        ctx.push()
-        ctx.assert_prop(lin_lt(x, obj_int(0)))
-        assert ctx.is_unsat()
-        assert ctx.entails(leq(obj_int(99), x))  # ex falso
-        ctx.pop()
+        scoped = ctx.clone()
+        scoped.assert_prop(lin_lt(x, obj_int(0)))
+        assert scoped.is_unsat()
+        assert scoped.entails(leq(obj_int(99), x))  # ex falso
         assert not ctx.is_unsat()
         assert not ctx.entails(leq(obj_int(99), x))
 
@@ -73,10 +70,6 @@ class TestLinArithContext:
         fork.assert_prop(leq(x, obj_int(1)))
         assert fork.entails(leq(x, obj_int(2)))
         assert not ctx.entails(leq(x, obj_int(2)))
-
-    def test_pop_without_push_raises(self):
-        with pytest.raises(IndexError):
-            LinearArithmeticTheory().context().pop()
 
 
 class TestCongruenceContext:
@@ -89,24 +82,22 @@ class TestCongruenceContext:
         assert ctx.entails(goal) == theory.entails([fact], goal) == True
         assert not ctx.entails(Congruence(x, 2, 1))
 
-    def test_crt_merge_and_pop(self):
+    def test_crt_merge_on_clone(self):
         ctx = CongruenceTheory().context()
         ctx.assert_prop(Congruence(x, 2, 0))
-        ctx.push()
-        ctx.assert_prop(Congruence(x, 3, 1))
+        scoped = ctx.clone()
+        scoped.assert_prop(Congruence(x, 3, 1))
         # x ≡ 0 (mod 2) ∧ x ≡ 1 (mod 3)  ⟹  x ≡ 4 (mod 6)
-        assert ctx.entails(Congruence(x, 6, 4))
-        ctx.pop()
+        assert scoped.entails(Congruence(x, 6, 4))
         assert not ctx.entails(Congruence(x, 6, 4))
         assert ctx.entails(Congruence(x, 2, 0))
 
-    def test_inconsistency_latched_and_released(self):
+    def test_inconsistency_latched_on_clone_only(self):
         ctx = CongruenceTheory().context()
         ctx.assert_prop(Congruence(x, 2, 0))
-        ctx.push()
-        ctx.assert_prop(Congruence(x, 2, 1))  # contradicts
-        assert ctx.entails(Congruence(y, 5, 3))  # ex falso
-        ctx.pop()
+        scoped = ctx.clone()
+        scoped.assert_prop(Congruence(x, 2, 1))  # contradicts
+        assert scoped.entails(Congruence(y, 5, 3))  # ex falso
         assert not ctx.entails(Congruence(y, 5, 3))
 
 
@@ -130,10 +121,9 @@ class TestBitvectorContext:
         goal = BVProp("≤", x, obj_int(255), 8)
         assert ctx.entails(goal)
         assert ctx.entails(goal)  # memo hit
-        ctx.push()
-        ctx.assert_prop(leq(x, obj_int(10)))
-        assert ctx.entails(BVProp("≤", x, obj_int(10), 8))
-        ctx.pop()
+        scoped = ctx.clone()
+        scoped.assert_prop(leq(x, obj_int(10)))
+        assert scoped.entails(BVProp("≤", x, obj_int(10), 8))
         assert not ctx.entails(BVProp("≤", x, obj_int(10), 8))
 
     def test_ungroundable_goal_declined(self):
@@ -151,13 +141,11 @@ class TestRegistrySession:
         for goal in (leq(x, obj_int(9)), Congruence(x, 2, 0)):
             assert session.entails(goal) == registry.entails(facts, goal) == True
 
-    def test_push_pop_mirrors_all_theories(self):
+    def test_derive_scopes_all_theories(self):
         session = default_registry().session()
         session.assert_prop(leq(obj_int(0), x))
-        session.push()
-        session.assert_prop(lin_lt(x, obj_int(0)))
-        assert session.linear_unsat()
-        session.pop()
+        child = session.derive([lin_lt(x, obj_int(0))])
+        assert child.linear_unsat()
         assert not session.linear_unsat()
 
     def test_derive_reuses_prefix(self):
