@@ -55,7 +55,7 @@ def _timed(paths, jobs):
     return report, elapsed
 
 
-def test_bench_batch_throughput(benchmark, corpus_paths, capsys):
+def test_bench_batch_throughput(benchmark, corpus_paths, results_dir, capsys):
     # Warm interpreter/caches, then take the best of three sequential
     # runs — single-core rates on shared machines are noisy and the
     # gate should measure the code, not a scheduler hiccup.
@@ -95,8 +95,7 @@ def test_bench_batch_throughput(benchmark, corpus_paths, capsys):
         "machine_scale_vs_baseline": round(scale, 3),
         "speedup_vs_baseline": round(speedup_vs_baseline, 3),
     }
-    os.makedirs("benchmark-results", exist_ok=True)
-    with open("benchmark-results/batch_throughput.json", "w") as handle:
+    with open(results_dir / "batch_throughput.json", "w") as handle:
         json.dump(results, handle, indent=2)
 
     with capsys.disabled():

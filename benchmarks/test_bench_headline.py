@@ -13,7 +13,6 @@ for timer noise.
 """
 
 import json
-import os
 import time
 
 from perf_common import load_baseline, machine_scale
@@ -27,7 +26,7 @@ from repro.study.report import headline
 REQUIRED_SPEEDUP = 1.35
 
 
-def test_bench_headline(benchmark, full_study, capsys):
+def test_bench_headline(benchmark, full_study, results_dir, capsys):
     # Time the unit of work behind the headline: classifying one
     # representative automatic access end-to-end.
     from repro.corpus.patterns import instantiate
@@ -60,8 +59,7 @@ def test_bench_headline(benchmark, full_study, capsys):
         "machine_scale_vs_baseline": round(scale, 3),
         "speedup_vs_baseline": round(speedup_vs_baseline, 3),
     }
-    os.makedirs("benchmark-results", exist_ok=True)
-    with open("benchmark-results/headline_latency.json", "w") as handle:
+    with open(results_dir / "headline_latency.json", "w") as handle:
         json.dump(results, handle, indent=2)
 
     with capsys.disabled():

@@ -11,7 +11,8 @@ the same generated corpus family the batch benchmarks use:
 * **warm** — one ``check`` request per module against a resident
   ``repro serve`` daemon over a unix socket, after a warm-up pass.
 
-p50/p95/mean land in ``benchmark-results/server_latency.json`` and the
+p50/p95/mean land in ``server_latency.json`` in the results directory
+(``--results-dir``, see ``conftest.py``) and the
 §-style table (``repro.study.report.server_latency_table``) is printed.
 The assertion is conservative — warm median strictly below cold median
 — because interpreter start-up alone dwarfs a warm round-trip on any
@@ -102,7 +103,7 @@ def _warm_samples(paths, tmp_path):
     return samples
 
 
-def test_bench_server_latency(benchmark, corpus_paths, tmp_path, capsys):
+def test_bench_server_latency(benchmark, corpus_paths, tmp_path, results_dir, capsys):
     cold = _percentiles(_cold_samples(corpus_paths))
     warm = _percentiles(_warm_samples(corpus_paths, tmp_path))
 
@@ -115,8 +116,7 @@ def test_bench_server_latency(benchmark, corpus_paths, tmp_path, capsys):
         "warm": warm,
         "speedup_warm_over_cold_p50": round(speedup, 2),
     }
-    os.makedirs("benchmark-results", exist_ok=True)
-    with open("benchmark-results/server_latency.json", "w") as handle:
+    with open(results_dir / "server_latency.json", "w") as handle:
         json.dump(results, handle, indent=2)
 
     with capsys.disabled():

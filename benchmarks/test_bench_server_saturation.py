@@ -15,7 +15,7 @@ claim stays honest:
 * **lanes** ∈ {1, N}: the same workload against a single-lane and a
   multi-lane daemon.
 
-The full matrix lands in ``benchmark-results/server_saturation.json``
+The full matrix lands in ``server_saturation.json`` in the results dir
 (rendered by ``repro.study.report.server_saturation_table``) and CI
 uploads it next to the latency artifact.  The gate is
 hardware-tolerant: at every client count, multi-lane throughput must
@@ -121,7 +121,7 @@ def _run_config(tmp_path, tag, lanes, clients, corpus):
     }
 
 
-def test_bench_server_saturation(benchmark, corpus, tmp_path, capsys):
+def test_bench_server_saturation(benchmark, corpus, tmp_path, results_dir, capsys):
     matrix = []
     for clients in CLIENT_COUNTS:
         for lanes in (1, MULTI_LANES):
@@ -149,8 +149,7 @@ def test_bench_server_saturation(benchmark, corpus, tmp_path, capsys):
         "min_median_ratio_gate": MIN_MEDIAN_RATIO,
         "matrix": matrix,
     }
-    os.makedirs("benchmark-results", exist_ok=True)
-    with open("benchmark-results/server_saturation.json", "w") as handle:
+    with open(results_dir / "server_saturation.json", "w") as handle:
         json.dump(results, handle, indent=2)
 
     with capsys.disabled():

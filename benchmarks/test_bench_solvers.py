@@ -5,7 +5,7 @@ ours are dual simplex / CDCL with Fourier-Motzkin / DPLL as the
 
 ``test_bench_solver_cores_artifact`` is the fast-vs-legacy shoot-out:
 it times both backends on the same checker-shaped workloads, writes
-``benchmark-results/solver_cores.json``, and gates the ratios (the
+``solver_cores.json`` into the results directory, and gates the ratios (the
 stress shapes are where the incremental cores earn their keep; the
 tier-1 micro shape is where they must at least break even).
 """
@@ -195,7 +195,7 @@ def _time_warm(backend, rounds=50):
     return elapsed / (rounds * len(goals))
 
 
-def test_bench_solver_cores_artifact(capsys):
+def test_bench_solver_cores_artifact(results_dir, capsys):
     assumptions, stream = _checker_stress()
 
     proved_fast, fast_s = _time_linear_stream("fast", assumptions, stream)
@@ -244,8 +244,7 @@ def test_bench_solver_cores_artifact(capsys):
             "legacy_us_per_goal": round(warm_legacy * 1e6, 3),
         },
     }
-    os.makedirs("benchmark-results", exist_ok=True)
-    with open("benchmark-results/solver_cores.json", "w") as handle:
+    with open(results_dir / "solver_cores.json", "w") as handle:
         json.dump(results, handle, indent=2)
 
     with capsys.disabled():

@@ -2,13 +2,31 @@
 
 The bitvector theory (section 2.2 of the paper) is decided by lowering
 every term to a vector of propositional literals (LSB first) with
-Tseitin-encoded gates, then refuting with the DPLL solver in
-:mod:`repro.solvers.sat`.
+Tseitin-encoded gates, then refuting with the SAT core chosen by the
+``solver_backend`` knob (CDCL by default, the reference DPLL solver
+under ``legacy``; see :mod:`repro.solvers.sat`).
 
 The :class:`BitBlaster` hands out fresh variables, caches term
 encodings, and offers the operations the AES ``xtime`` example and the
 enriched primitive environment need: bitwise logic, addition,
 multiplication, constant shifts, and unsigned comparisons.
+
+Constants are folded at gate level, the way an SMT solver simplifies
+before it bit-blasts.  A gate whose output follows from its inputs
+allocates no variable and writes no clause; it returns an existing
+literal (``⊤`` is :attr:`BitBlaster.true_lit`, ``⊥`` its negation):
+
+* ``x∧⊥ = ⊥``, ``x∧⊤ = x``, ``x∧x = x``, ``x∧¬x = ⊥``; ``or`` is the
+  dual ``¬(¬a∧¬b)``;
+* ``x⊕⊥ = x``, ``x⊕⊤ = ¬x``, ``x⊕x = ⊥``, ``x⊕¬x = ⊤``;
+* ``maj(⊤,b,c) = b∨c``, ``maj(⊥,b,c) = b∧c``, ``maj(a,a,c) = a``,
+  ``maj(a,¬a,c) = c``;
+* ``ite(⊤,t,e) = t``, ``ite(⊥,t,e) = e``, ``ite(c,t,t) = t``.
+
+:meth:`BitBlaster.bv_mul` with an all-constant operand sums only the
+shifted copies of the other operand for the constant's set bits.  Folding keeps no
+state (there is no gate cache), so a caller may truncate
+:attr:`BitBlaster.clauses` to retract a speculative encoding.
 """
 
 from __future__ import annotations
@@ -65,19 +83,33 @@ class BitBlaster:
         return bits
 
     # ------------------------------------------------------------------
-    # gates (Tseitin encodings)
+    # gates (constant-folded Tseitin encodings)
     # ------------------------------------------------------------------
     def gate_and(self, a: int, b: int) -> int:
+        t = self._true_lit
+        if a == -t or b == -t or a == -b:
+            return -t
+        if a == t or a == b:
+            return b
+        if b == t:
+            return a
         c = self.fresh()
         self.clauses += [[-c, a], [-c, b], [c, -a, -b]]
         return c
 
     def gate_or(self, a: int, b: int) -> int:
-        c = self.fresh()
-        self.clauses += [[c, -a], [c, -b], [-c, a, b]]
-        return c
+        return -self.gate_and(-a, -b)
 
     def gate_xor(self, a: int, b: int) -> int:
+        t = self._true_lit
+        if abs(a) == t:
+            return b if a == -t else -b
+        if abs(b) == t:
+            return a if b == -t else -a
+        if a == b:
+            return -t
+        if a == -b:
+            return t
         c = self.fresh()
         self.clauses += [[-c, a, b], [-c, -a, -b], [c, -a, b], [c, a, -b]]
         return c
@@ -86,6 +118,11 @@ class BitBlaster:
         return -self.gate_xor(a, b)
 
     def gate_ite(self, cond: int, then_lit: int, else_lit: int) -> int:
+        t = self._true_lit
+        if cond == t or then_lit == else_lit:
+            return then_lit
+        if cond == -t:
+            return else_lit
         c = self.fresh()
         self.clauses += [
             [-c, -cond, then_lit],
@@ -96,6 +133,24 @@ class BitBlaster:
         return c
 
     def gate_majority(self, a: int, b: int, c: int) -> int:
+        t = self._true_lit
+        if abs(a) == t:
+            return self.gate_or(b, c) if a == t else self.gate_and(b, c)
+        if abs(b) == t:
+            return self.gate_or(a, c) if b == t else self.gate_and(a, c)
+        if abs(c) == t:
+            return self.gate_or(a, b) if c == t else self.gate_and(a, b)
+        if a == b or a == c:
+            return a
+        if b == c:
+            return b
+        # one input opposes another: the third casts the deciding vote
+        if a == -b:
+            return c
+        if a == -c:
+            return b
+        if b == -c:
+            return a
         out = self.fresh()
         self.clauses += [
             [-out, a, b],
@@ -146,13 +201,24 @@ class BitBlaster:
         )
 
     def bv_mul(self, a: Bits, b: Bits) -> Bits:
-        """Shift-and-add multiplication (mod 2^w)."""
-        width = len(a)
-        acc = self.constant(0, width)
-        for i in range(width):
+        """Shift-and-add multiplication (mod 2^w).
+
+        A ⊥ bit of ``b`` contributes no partial product and a ⊤ bit adds
+        the shifted ``a`` ungated.  An all-constant ``a`` is swapped into
+        ``b``, so a product with a constant costs only the additions for
+        the constant's set bits.
+        """
+        t = self._true_lit
+        if all(abs(bit) == t for bit in a):
+            a, b = b, a
+        acc = self.constant(0, len(a))
+        for i, select in enumerate(b):
+            if select == -t:
+                continue
             shifted = self.bv_shl(a, i)
-            gated = tuple(self.gate_and(bit, b[i]) for bit in shifted)
-            acc = self.bv_add(acc, gated)
+            if select != t:
+                shifted = tuple(self.gate_and(bit, select) for bit in shifted)
+            acc = self.bv_add(acc, shifted)
         return acc
 
     # ------------------------------------------------------------------

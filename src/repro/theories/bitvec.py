@@ -1,8 +1,10 @@
 """The theory of fixed-width bitvectors (section 2.2).
 
 Where the paper leverages Z3's bitvector reasoning, this reproduction
-bit-blasts to CNF (:mod:`repro.solvers.bitblast`) and refutes with a
-DPLL SAT solver — the same refutation discipline an SMT backend uses.
+bit-blasts to CNF (:mod:`repro.solvers.bitblast`, which folds constant
+bits at gate level as Z3 simplifies before blasting) and refutes with
+the SAT core the ``solver_backend`` knob selects (CDCL by default, DPLL
+under ``legacy``) — the same refutation discipline an SMT backend uses.
 
 Semantics bridged here: at the program level bitvector operations act
 on ordinary non-negative integers (``AND``/``XOR``/``*`` on bytes in
@@ -383,9 +385,10 @@ class BitvectorContext(TheoryContext):
     :class:`~repro.solvers.sat.IncrementalSatSolver`: assumption
     clauses are asserted once, and each goal's (conservative Tseitin)
     definition clauses plus its negated-goal unit are probed against
-    that shared prefix and then retracted.  Any change to the
-    assumption set simply drops the encoding, which is rebuilt lazily
-    on the next query.
+    that shared prefix and then retracted (gate folding keeps no state,
+    so truncating the clause list is a complete retraction).  Any
+    change to the assumption set simply drops the encoding, which is
+    rebuilt lazily on the next query.
     """
 
     __slots__ = (
